@@ -114,591 +114,6 @@ impl ParallelClock {
     }
 }
 
-/// The deterministic CPU twin of the LTPG engine.
-///
-/// When the (simulated) device is lost, `LtpgServer` drains the remaining
-/// workload here. The twin re-implements LTPG's three phases serially —
-/// speculative execution against the pre-batch snapshot, min-TID conflict
-/// detection, and write-back with delayed-update merging — with **exact**
-/// `BTreeMap` min-TID cells where the GPU uses hashed conflict-log
-/// buckets. Commit decisions are therefore bit-identical to the GPU
-/// engine's, with one documented exception: the GPU conflict log can run
-/// out of buckets (or collide on its 40-bit key tags) under extreme load
-/// and force-abort transactions the exact maps would admit. Workloads
-/// below that capacity (all of this repository's) decide identically.
-pub mod fallback {
-    use std::collections::{BTreeMap, HashMap, HashSet};
-    use std::time::Instant;
-
-    use ltpg_storage::{
-        membership_partition, ColId, Database, TableError, TableId, MEMBERSHIP_PARTITION_SHIFT,
-    };
-    use ltpg_txn::engine::CommitSemantics;
-    use ltpg_txn::exec::{execute_speculative, Mutation, TxnEffects};
-    use ltpg_txn::{Batch, BatchEngine, BatchReport};
-
-    use super::CpuCostModel;
-
-    /// `(row key, column)` → conflict-cell key, identical to the GPU
-    /// engine's encoding: column code 0 is the row-existence pseudo-cell,
-    /// column `c` maps to `c + 1`.
-    #[inline]
-    fn cell_key(key: i64, col: Option<ColId>) -> i64 {
-        key.wrapping_mul(64).wrapping_add(col.map_or(0, |c| i64::from(c.0) + 1))
-    }
-
-    const WAW: u32 = 1 << 0;
-    const RAW: u32 = 1 << 1;
-    const WAR: u32 = 1 << 2;
-    const USER: u32 = 1 << 3;
-    const FORCED: u32 = 1 << 4;
-
-    /// The slice of `LtpgConfig` the commit decision depends on. Kept as
-    /// its own struct so this crate does not depend on `ltpg` (which
-    /// depends on this crate).
-    #[derive(Debug, Clone, Default)]
-    pub struct CpuFallbackConfig {
-        /// Columns always maintained commutatively.
-        pub commutative_cols: HashSet<(TableId, ColId)>,
-        /// Hot columns covered by delayed update when that flag is on.
-        pub delayed_cols: HashSet<(TableId, ColId)>,
-        /// Whether the delayed-update optimization is enabled.
-        pub delayed_update: bool,
-        /// Whether the commit rule uses logical reordering
-        /// (¬WAW ∧ (¬RAW ∨ ¬WAR) instead of ¬WAW ∧ ¬RAW).
-        pub logical_reordering: bool,
-    }
-
-    impl CpuFallbackConfig {
-        fn is_commutative(&self, table: TableId, col: ColId) -> bool {
-            self.commutative_cols.contains(&(table, col))
-                || (self.delayed_update && self.delayed_cols.contains(&(table, col)))
-        }
-    }
-
-    /// One conflict-check item of the detect phase:
-    /// (table, column, cell key, check WAW?, membership partition).
-    type WriteItem = (TableId, Option<ColId>, i64, bool, Option<i64>);
-
-    /// Per-transaction result of the serial execute phase.
-    struct ExecOutcome {
-        normal: Vec<Mutation>,
-        delayed: Vec<(TableId, ColId, i64, i64)>,
-        effects: TxnEffects,
-    }
-
-    /// Exact min-TID maps standing in for the GPU conflict log.
-    #[derive(Default)]
-    struct MinTidLog {
-        read_min: BTreeMap<(TableId, Option<ColId>, i64), u64>,
-        write_min: BTreeMap<(TableId, Option<ColId>, i64), u64>,
-        mem_read_min: BTreeMap<(TableId, i64), u64>,
-        mem_write_min: BTreeMap<(TableId, i64), u64>,
-    }
-
-    impl MinTidLog {
-        fn note(map: &mut BTreeMap<(TableId, Option<ColId>, i64), u64>, k: (TableId, Option<ColId>, i64), tid: u64) {
-            map.entry(k).and_modify(|m| *m = (*m).min(tid)).or_insert(tid);
-        }
-        fn note_mem(map: &mut BTreeMap<(TableId, i64), u64>, k: (TableId, i64), tid: u64) {
-            map.entry(k).and_modify(|m| *m = (*m).min(tid)).or_insert(tid);
-        }
-    }
-
-    /// Serial CPU executor producing LTPG-identical commit decisions.
-    pub struct CpuFallbackEngine {
-        db: Database,
-        cfg: CpuFallbackConfig,
-        cost: CpuCostModel,
-        /// Tables containing at least one commutatively-maintained column
-        /// (union of both column sets, independent of the flag — mirrors
-        /// the GPU engine's delete force-abort rule).
-        commutative_tables: HashSet<TableId>,
-    }
-
-    impl CpuFallbackEngine {
-        /// Create a fallback engine over `db`.
-        pub fn new(db: Database, cfg: CpuFallbackConfig) -> Self {
-            let commutative_tables = cfg
-                .commutative_cols
-                .iter()
-                .chain(cfg.delayed_cols.iter())
-                .map(|&(t, _)| t)
-                .collect();
-            CpuFallbackEngine { db, cfg, cost: CpuCostModel::xeon30(), commutative_tables }
-        }
-
-        /// Consume the engine, returning the final database.
-        pub fn into_database(self) -> Database {
-            self.db
-        }
-
-        fn run_batch(&mut self, batch: &Batch) -> BatchReport {
-            let wall_start = Instant::now();
-            let n = batch.len();
-            let mut flags = vec![0u32; n];
-            let mut outcomes: Vec<Option<ExecOutcome>> = Vec::with_capacity(n);
-            let mut log = MinTidLog::default();
-            let mut work_ops = 0u64;
-
-            // ---- Phase 1: speculative execution + min-TID registration,
-            // serially per transaction against the pre-batch snapshot. ----
-            for (idx, txn) in batch.txns.iter().enumerate() {
-                work_ops += txn.ops.len() as u64;
-                let fx = match execute_speculative(&self.db, txn) {
-                    Err(_) => {
-                        flags[idx] |= USER;
-                        outcomes.push(None);
-                        continue;
-                    }
-                    Ok(fx) => fx,
-                };
-                let tid = txn.tid.0;
-                let mut forced = false;
-                let mut normal = Vec::with_capacity(fx.mutations.len());
-                let mut delayed = Vec::new();
-                for m in &fx.mutations {
-                    match m {
-                        Mutation::Add { table, key, col, delta }
-                            if self.cfg.is_commutative(*table, *col) =>
-                        {
-                            delayed.push((*table, *col, *key, *delta));
-                        }
-                        Mutation::Update { table, col, .. }
-                            if self.cfg.is_commutative(*table, *col) =>
-                        {
-                            forced = true;
-                        }
-                        Mutation::Delete { table, .. }
-                            if self.commutative_tables.contains(table) =>
-                        {
-                            forced = true;
-                        }
-                        other => normal.push(other.clone()),
-                    }
-                }
-                for r in &fx.reads {
-                    if let Some(c) = r.col {
-                        if self.cfg.is_commutative(r.table, c) {
-                            forced = true;
-                        }
-                    }
-                }
-                if forced {
-                    flags[idx] |= FORCED;
-                    outcomes.push(Some(ExecOutcome {
-                        normal: Vec::new(),
-                        delayed: Vec::new(),
-                        effects: fx,
-                    }));
-                    continue;
-                }
-                for r in &fx.reads {
-                    match membership_partition(r.key) {
-                        Some(p) => MinTidLog::note_mem(&mut log.mem_read_min, (r.table, p), tid),
-                        None => MinTidLog::note(
-                            &mut log.read_min,
-                            (r.table, r.col, cell_key(r.key, r.col)),
-                            tid,
-                        ),
-                    }
-                }
-                for m in &normal {
-                    match m {
-                        Mutation::Update { table, key, col, .. } => MinTidLog::note(
-                            &mut log.write_min,
-                            (*table, Some(*col), cell_key(*key, Some(*col))),
-                            tid,
-                        ),
-                        // A non-commutative Add is a read-modify-write: it
-                        // registers as reader *and* writer of the cell,
-                        // exactly as the GPU engine does.
-                        Mutation::Add { table, key, col, .. } => {
-                            let ck = cell_key(*key, Some(*col));
-                            MinTidLog::note(&mut log.read_min, (*table, Some(*col), ck), tid);
-                            MinTidLog::note(&mut log.write_min, (*table, Some(*col), ck), tid);
-                        }
-                        Mutation::Insert { table, key, .. } => {
-                            MinTidLog::note(
-                                &mut log.write_min,
-                                (*table, None, cell_key(*key, None)),
-                                tid,
-                            );
-                            MinTidLog::note_mem(
-                                &mut log.mem_write_min,
-                                (*table, *key >> MEMBERSHIP_PARTITION_SHIFT),
-                                tid,
-                            );
-                        }
-                        Mutation::Delete { table, key } => {
-                            MinTidLog::note(
-                                &mut log.write_min,
-                                (*table, None, cell_key(*key, None)),
-                                tid,
-                            );
-                            MinTidLog::note_mem(
-                                &mut log.mem_write_min,
-                                (*table, *key >> MEMBERSHIP_PARTITION_SHIFT),
-                                tid,
-                            );
-                            for c in 0..self.db.table(*table).width() as u16 {
-                                let col = ColId(c);
-                                MinTidLog::note(
-                                    &mut log.write_min,
-                                    (*table, Some(col), cell_key(*key, Some(col))),
-                                    tid,
-                                );
-                            }
-                        }
-                    }
-                }
-                outcomes.push(Some(ExecOutcome { normal, delayed, effects: fx }));
-            }
-
-            // ---- Phase 2: conflict detection against the min maps. ----
-            for (idx, out) in outcomes.iter().enumerate() {
-                let Some(out) = out else { continue };
-                if flags[idx] & (USER | FORCED) != 0 {
-                    continue;
-                }
-                let tid = batch.txns[idx].tid.0;
-                for r in &out.effects.reads {
-                    let min_w = match membership_partition(r.key) {
-                        Some(p) => log.mem_write_min.get(&(r.table, p)),
-                        None => log.write_min.get(&(r.table, r.col, cell_key(r.key, r.col))),
-                    };
-                    if min_w.is_some_and(|&m| m < tid) {
-                        flags[idx] |= RAW;
-                    }
-                }
-                // (table, col, cell key, WAW checked?, membership partition)
-                let mut write_items: Vec<WriteItem> = Vec::new();
-                for m in &out.normal {
-                    match m {
-                        Mutation::Update { table, key, col, .. }
-                        | Mutation::Add { table, key, col, .. } => {
-                            write_items.push((*table, Some(*col), cell_key(*key, Some(*col)), true, None));
-                        }
-                        Mutation::Insert { table, key, .. } => {
-                            write_items.push((*table, None, cell_key(*key, None), true, None));
-                            write_items.push((*table, None, 0, false, Some(*key >> MEMBERSHIP_PARTITION_SHIFT)));
-                        }
-                        Mutation::Delete { table, key } => {
-                            write_items.push((*table, None, cell_key(*key, None), true, None));
-                            write_items.push((*table, None, 0, false, Some(*key >> MEMBERSHIP_PARTITION_SHIFT)));
-                            for c in 0..self.db.table(*table).width() as u16 {
-                                let col = ColId(c);
-                                write_items.push((*table, Some(col), cell_key(*key, Some(col)), true, None));
-                            }
-                        }
-                    }
-                }
-                for (table, col, cell, check_waw, membership) in write_items {
-                    let (min_w, min_r) = match membership {
-                        Some(p) => {
-                            (log.mem_write_min.get(&(table, p)), log.mem_read_min.get(&(table, p)))
-                        }
-                        None => (
-                            log.write_min.get(&(table, col, cell)),
-                            log.read_min.get(&(table, col, cell)),
-                        ),
-                    };
-                    if check_waw && min_w.is_some_and(|&m| m < tid) {
-                        flags[idx] |= WAW;
-                    }
-                    if min_r.is_some_and(|&m| m < tid) {
-                        flags[idx] |= WAR;
-                    }
-                }
-            }
-
-            // ---- Phase 3: commit rule + write-back + delayed merge. ----
-            let commit_ok = |f: u32| -> bool {
-                if f & (USER | FORCED | WAW) != 0 {
-                    return false;
-                }
-                if self.cfg.logical_reordering {
-                    f & RAW == 0 || f & WAR == 0
-                } else {
-                    f & RAW == 0
-                }
-            };
-            let committed_flags: Vec<bool> = flags.iter().map(|&f| commit_ok(f)).collect();
-            for (idx, out) in outcomes.iter().enumerate() {
-                if !committed_flags[idx] {
-                    continue;
-                }
-                let Some(out) = out else { continue };
-                for m in &out.normal {
-                    match m {
-                        Mutation::Update { table, key, col, value } => {
-                            let t = self.db.table(*table);
-                            if let Some(rid) = t.lookup(*key) {
-                                t.set(rid, *col, *value);
-                            }
-                        }
-                        Mutation::Add { table, key, col, delta } => {
-                            let t = self.db.table(*table);
-                            if let Some(rid) = t.lookup(*key) {
-                                t.add(rid, *col, *delta);
-                            }
-                        }
-                        Mutation::Insert { table, key, values } => {
-                            match self.db.table(*table).insert(*key, values) {
-                                Ok(_) => {}
-                                // Invariant: mirrors the GPU engine — a
-                                // committed duplicate means WAW detection
-                                // failed, and capacity is provisioned at
-                                // load time.
-                                Err(TableError::Duplicate(_)) => unreachable!(
-                                    "committed duplicate insert: WAW detection failed for key {key}"
-                                ),
-                                Err(TableError::Full) => panic!(
-                                    "table {} out of insert headroom",
-                                    self.db.table(*table).schema().name
-                                ),
-                            }
-                        }
-                        Mutation::Delete { table, key } => {
-                            self.db.table(*table).delete(*key);
-                        }
-                    }
-                }
-            }
-            let mut merge_map: HashMap<(TableId, ColId, i64), i64> = HashMap::new();
-            for (idx, out) in outcomes.iter().enumerate() {
-                if !committed_flags[idx] {
-                    continue;
-                }
-                let Some(out) = out else { continue };
-                for &(t, c, k, d) in &out.delayed {
-                    let e = merge_map.entry((t, c, k)).or_insert(0);
-                    *e = e.wrapping_add(d);
-                }
-            }
-            let mut merged: Vec<((TableId, ColId, i64), i64)> = merge_map.into_iter().collect();
-            merged.sort_unstable_by_key(|(cell, _)| *cell);
-            for ((t, c, k), sum) in merged {
-                let table = self.db.table(t);
-                if let Some(rid) = table.lookup(k) {
-                    table.add(rid, c, sum);
-                }
-            }
-
-            let mut committed = Vec::new();
-            let mut aborted = Vec::new();
-            for (i, txn) in batch.txns.iter().enumerate() {
-                if committed_flags[i] {
-                    committed.push(txn.tid);
-                } else {
-                    aborted.push(txn.tid);
-                }
-            }
-            // Simulated cost: a coarse serial-CPU model (three phase
-            // barriers plus per-op work across the worker pool). Only used
-            // for reporting — commit decisions never depend on it.
-            let per_op = self.cost.index_ns + self.cost.read_ns + self.cost.write_ns;
-            let sim_ns = 3.0 * self.cost.barrier_ns
-                + work_ops as f64 * per_op / self.cost.workers as f64;
-            BatchReport {
-                committed,
-                aborted,
-                sim_ns,
-                critical_path_ns: sim_ns,
-                transfer_ns: 0.0,
-                wall_ns: wall_start.elapsed().as_nanos() as u64,
-                semantics: CommitSemantics::SnapshotBatch,
-            }
-        }
-    }
-
-    impl BatchEngine for CpuFallbackEngine {
-        fn name(&self) -> &'static str {
-            "LTPG-CPU-fallback"
-        }
-
-        fn database(&self) -> &Database {
-            &self.db
-        }
-
-        fn execute_batch(&mut self, batch: &Batch) -> BatchReport {
-            self.run_batch(batch)
-        }
-    }
-}
-
-pub use fallback::{CpuFallbackConfig, CpuFallbackEngine};
-
-#[cfg(test)]
-mod fallback_tests {
-    use std::collections::HashSet;
-
-    use ltpg_storage::{ColId, Database, TableBuilder, TableId};
-    use ltpg_txn::{Batch, BatchEngine, IrOp, ProcId, Src, TidGen, Txn};
-
-    use super::{CpuFallbackConfig, CpuFallbackEngine};
-
-    fn build_db() -> (Database, TableId) {
-        let mut db = Database::new();
-        let t = db.add_table(TableBuilder::new("T").columns(["a", "b"]).capacity(64).build());
-        for k in 0..8 {
-            db.table(t).insert(k, &[10, 0]).unwrap();
-        }
-        (db, t)
-    }
-
-    fn delayed_cfg(t: TableId) -> CpuFallbackConfig {
-        CpuFallbackConfig {
-            commutative_cols: HashSet::new(),
-            delayed_cols: [(t, ColId(1))].into_iter().collect(),
-            delayed_update: true,
-            logical_reordering: true,
-        }
-    }
-
-    fn run(engine: &mut CpuFallbackEngine, txns: Vec<Txn>) -> ltpg_txn::BatchReport {
-        let mut tids = TidGen::new();
-        let batch = Batch::assemble(vec![], txns, &mut tids);
-        engine.execute_batch(&batch)
-    }
-
-    #[test]
-    fn commutative_adds_all_commit_and_merge() {
-        let (db, t) = build_db();
-        let mut engine = CpuFallbackEngine::new(db, delayed_cfg(t));
-        let txns: Vec<Txn> = (0..16)
-            .map(|i| {
-                Txn::new(
-                    ProcId(0),
-                    vec![],
-                    vec![IrOp::Add {
-                        table: t,
-                        key: Src::Const(3),
-                        col: ColId(1),
-                        delta: Src::Const(i + 1),
-                    }],
-                )
-            })
-            .collect();
-        let report = run(&mut engine, txns);
-        assert_eq!(report.committed.len(), 16, "delayed adds never conflict");
-        let db = engine.into_database();
-        let rid = db.table(t).lookup(3).unwrap();
-        assert_eq!(db.table(t).get(rid, ColId(1)), (1..=16).sum::<i64>());
-    }
-
-    #[test]
-    fn forced_aborts_mirror_the_gpu_rules() {
-        let (db, t) = build_db();
-        let mut engine = CpuFallbackEngine::new(db, delayed_cfg(t));
-        let update_hot = Txn::new(
-            ProcId(0),
-            vec![],
-            vec![IrOp::Update { table: t, key: Src::Const(0), col: ColId(1), val: Src::Const(5) }],
-        );
-        let delete_on_commutative_table =
-            Txn::new(ProcId(0), vec![], vec![IrOp::Delete { table: t, key: Src::Const(1) }]);
-        let read_hot = Txn::new(
-            ProcId(0),
-            vec![],
-            vec![IrOp::Read { table: t, key: Src::Const(2), col: ColId(1), out: 0 }],
-        );
-        let plain_update = Txn::new(
-            ProcId(0),
-            vec![],
-            vec![IrOp::Update { table: t, key: Src::Const(4), col: ColId(0), val: Src::Const(9) }],
-        );
-        let report = run(
-            &mut engine,
-            vec![update_hot, delete_on_commutative_table, read_hot, plain_update],
-        );
-        assert_eq!(report.aborted.len(), 3, "hot-column update/delete/read are force-aborted");
-        assert_eq!(report.committed.len(), 1, "the plain update is unaffected");
-    }
-
-    #[test]
-    fn waw_aborts_all_but_the_minimum_tid() {
-        let (db, t) = build_db();
-        let mut engine = CpuFallbackEngine::new(db, delayed_cfg(t));
-        let txns: Vec<Txn> = (0..6)
-            .map(|i| {
-                Txn::new(
-                    ProcId(0),
-                    vec![],
-                    vec![IrOp::Update {
-                        table: t,
-                        key: Src::Const(5),
-                        col: ColId(0),
-                        val: Src::Const(100 + i),
-                    }],
-                )
-            })
-            .collect();
-        let report = run(&mut engine, txns);
-        assert_eq!(report.committed.len(), 1);
-        assert_eq!(report.aborted.len(), 5);
-        let min_tid = report
-            .committed
-            .iter()
-            .chain(report.aborted.iter())
-            .map(|x| x.0)
-            .min()
-            .unwrap();
-        assert_eq!(report.committed[0].0, min_tid, "deterministic: the minimum TID wins");
-    }
-
-    #[test]
-    fn raw_rule_depends_on_logical_reordering() {
-        // txn A (lower TID) writes key 6; txn B reads key 6 (RAW on B) and
-        // writes nothing read by A. With reordering, B commits (no WAR);
-        // without, RAW alone aborts B.
-        let mk = || {
-            vec![
-                Txn::new(
-                    ProcId(0),
-                    vec![],
-                    vec![IrOp::Update {
-                        table: TableId(0),
-                        key: Src::Const(6),
-                        col: ColId(0),
-                        val: Src::Const(1),
-                    }],
-                ),
-                Txn::new(
-                    ProcId(0),
-                    vec![],
-                    vec![IrOp::Read { table: TableId(0), key: Src::Const(6), col: ColId(0), out: 0 }],
-                ),
-            ]
-        };
-        let (db, t) = build_db();
-        let mut reordering = CpuFallbackEngine::new(db, delayed_cfg(t));
-        assert_eq!(run(&mut reordering, mk()).committed.len(), 2);
-
-        let (db2, t2) = build_db();
-        let mut strict = CpuFallbackEngine::new(
-            db2,
-            CpuFallbackConfig { logical_reordering: false, ..delayed_cfg(t2) },
-        );
-        let report = run(&mut strict, mk());
-        assert_eq!(report.committed.len(), 1, "without reordering, RAW aborts the reader");
-    }
-
-    #[test]
-    fn duplicate_insert_is_a_user_abort() {
-        let (db, t) = build_db();
-        let mut engine = CpuFallbackEngine::new(db, delayed_cfg(t));
-        let dup = Txn::new(
-            ProcId(0),
-            vec![],
-            vec![IrOp::Insert { table: t, key: Src::Const(0), values: vec![Src::Const(1), Src::Const(1)] }],
-        );
-        let report = run(&mut engine, vec![dup]);
-        assert_eq!(report.committed.len(), 0);
-        assert_eq!(report.aborted.len(), 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,7 +29,10 @@
 //!
 //! Simulated time for the CPU engines comes from one calibrated
 //! [`cpu::CpuCostModel`] (30 workers, matching the paper's "30 CPU cores"),
-//! so GPU-vs-CPU throughput ratios are comparable in shape.
+//! so GPU-vs-CPU throughput ratios are comparable in shape. LTPG's own
+//! serial CPU twin (`ltpg::CpuTwin`, the degradation executor) charges the
+//! same model but lives in the core crate, next to the commit rule it
+//! shares with the GPU engine.
 
 pub mod addrgraph;
 pub mod aria;
@@ -49,7 +52,7 @@ pub use blockstm::{BlockStmCore, BlockStmEngine, BlockStmStats};
 pub use bamboo::BambooEngine;
 pub use bohm::BohmEngine;
 pub use calvin::CalvinEngine;
-pub use cpu::{CpuCostModel, CpuFallbackConfig, CpuFallbackEngine};
+pub use cpu::CpuCostModel;
 pub use dbx1000::Dbx1000Engine;
 pub use gacco::GaccoEngine;
 pub use gputx::GputxEngine;

@@ -187,17 +187,6 @@ impl LtpgConfig {
             || (self.opts.delayed_update && self.delayed_cols.contains(&(table, col)))
     }
 
-    /// The slice of this configuration the deterministic CPU fallback
-    /// executor needs to reproduce the GPU engine's commit decisions.
-    pub fn fallback_config(&self) -> ltpg_baselines::CpuFallbackConfig {
-        ltpg_baselines::CpuFallbackConfig {
-            commutative_cols: self.commutative_cols.clone(),
-            delayed_cols: self.delayed_cols.clone(),
-            delayed_update: self.opts.delayed_update,
-            logical_reordering: self.opts.logical_reordering,
-        }
-    }
-
     /// Is this column routed to a dedicated split conflict log?
     pub fn is_split(&self, table: TableId, col: ColId) -> bool {
         self.opts.conflict_splitting && self.delayed_cols.contains(&(table, col))

@@ -51,7 +51,7 @@ pub fn cell_key(key: i64, col: Option<ltpg_storage::ColId>) -> i64 {
 }
 
 /// Conflict-flag bits per transaction. Public so cooperating executors
-/// (the sharded CPU twin, cross-shard flag merging) can combine per-shard
+/// (the CPU twin, cross-shard flag merging) can combine per-shard
 /// verdicts: the flag word of a transaction is the bitwise OR of the words
 /// derived by every shard that owns one of its cells, and the commit rule
 /// ([`commit_decision`]) is a pure function of that word.
@@ -122,7 +122,7 @@ pub mod qa_inject {
 
 /// Result of [`stage_effects`]: speculation output split into plain
 /// buffered mutations, staged commutative deltas, and the forced-abort
-/// verdict. Shared by the execute kernel and the sharded CPU twin so both
+/// verdict. Shared by the execute kernel and [`crate::CpuTwin`] so both
 /// derive identical staging decisions.
 pub struct Staged {
     /// Non-commutative buffered mutations, in program order.
@@ -178,8 +178,8 @@ pub fn stage_effects(
 
 /// One conflict-log access of a transaction: the unit both registration
 /// and conflict detection operate over. [`cell_accesses`] enumerates them
-/// in a canonical order shared by the engine's detect-item builder and the
-/// sharded CPU twin, so every executor probes exactly the same cells.
+/// in a canonical order shared by the engine's detect-item builder and
+/// [`crate::CpuTwin`], so every executor probes exactly the same cells.
 pub enum CellAccess {
     /// Snapshot read of one cell.
     Read {
@@ -332,9 +332,11 @@ pub struct ExecScope<'a> {
 /// Chain of the shard-local slice and the remote view: reads try the local
 /// slice first (shards partition keys, so a local hit is authoritative)
 /// and fall through to the remote view; ordered scans merge both sides.
-struct ScopedStore<'a> {
-    local: &'a Database,
-    remote: &'a (dyn CellStore + Sync),
+/// Shared with [`crate::CpuTwin`] so a degraded shard executes cross-shard
+/// transactions exactly like its GPU peers.
+pub(crate) struct ScopedStore<'a> {
+    pub(crate) local: &'a Database,
+    pub(crate) remote: &'a (dyn CellStore + Sync),
 }
 
 impl CellStore for ScopedStore<'_> {
@@ -2081,5 +2083,32 @@ mod tests {
             assert!(*ns > 0.0);
         }
         assert_eq!(fresh_counter, 24);
+    }
+
+    /// The scope chain behind remote reads: a local hit wins over the
+    /// remote side, existence is the OR of both, and ordered scans merge
+    /// both sides' keys.
+    #[test]
+    fn scoped_store_prefers_local_hits_and_merges_range_keys() {
+        let slice = |rows: &[(i64, i64)]| {
+            let mut db = Database::new();
+            let t = db.add_built_table(
+                ltpg_storage::Table::new(TableBuilder::new("T").column("v").capacity(16).build())
+                    .with_ordered(),
+            );
+            for &(k, v) in rows {
+                db.table(t).insert(k, &[v]).unwrap();
+            }
+            (db, t)
+        };
+        let (local, t) = slice(&[(2, 20), (4, 40)]);
+        let (remote, _) = slice(&[(1, 100), (2, 200), (3, 300)]);
+        let chain = ScopedStore { local: &local, remote: &remote };
+        assert_eq!(chain.cell(t, 2, ColId(0)), Some(20), "the local hit wins");
+        assert_eq!(chain.cell(t, 3, ColId(0)), Some(300), "a local miss falls through");
+        assert_eq!(chain.cell(t, 9, ColId(0)), None);
+        assert!(chain.row_exists(t, 1) && chain.row_exists(t, 4) && !chain.row_exists(t, 5));
+        assert_eq!(chain.row_width(t), 1);
+        assert_eq!(chain.range_keys(t, 1, 5), Some(vec![1, 2, 3, 4]));
     }
 }

@@ -70,6 +70,7 @@ pub mod pipeline;
 pub mod recovery;
 pub mod server;
 pub mod stats;
+pub mod twin;
 mod util;
 
 pub use adaptive::{AdaptiveEngine, AdaptivePolicy, BatchProfile, EngineChoice};
@@ -93,3 +94,4 @@ pub use server::{
     BatchSummary, FailoverProvider, LtpgServer, ServerConfig, ServerError, ServerStats,
 };
 pub use stats::{FaultStats, LtpgBatchStats};
+pub use twin::{CpuPrepared, CpuTwin};

@@ -199,8 +199,8 @@ impl DurabilityManager {
     /// must already hold the checkpoint image. `upto` bounds the replay to
     /// batch ids `< upto` (None = everything intact on disk). This is the
     /// engine-agnostic core of recovery: the same log replays onto the GPU
-    /// engine or the CPU fallback and — determinism — yields the same
-    /// database.
+    /// engine or the CPU twin ([`crate::CpuTwin`]) and — determinism —
+    /// yields the same database.
     pub fn replay_onto<E: BatchEngine>(
         &self,
         engine: &mut E,

@@ -18,10 +18,10 @@
 //!   exponential backoff to simulated time;
 //! - **device loss** (or retry exhaustion) triggers graceful degradation:
 //!   the server rebuilds the pre-batch state from checkpoint + log on the
-//!   deterministic CPU fallback executor, replays the in-flight batch
+//!   deterministic CPU twin ([`CpuTwin`]), replays the in-flight batch
 //!   there, and keeps serving. Determinism makes the hand-off invisible:
-//!   the fallback derives bit-identical commit decisions, so clients see
-//!   the same history, only slower.
+//!   the twin derives bit-identical commit decisions, so clients see the
+//!   same history, only slower.
 //!
 //! Counters for all of this are in [`FaultStats`] via
 //! [`LtpgServer::stats`].
@@ -29,7 +29,6 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use ltpg_baselines::CpuFallbackEngine;
 use ltpg_gpu_sim::{Device, DeviceError, DeviceFaultPlan};
 use ltpg_storage::Database;
 use ltpg_telemetry::{names, Registry};
@@ -40,6 +39,7 @@ use crate::engine::LtpgEngine;
 use crate::faults::{PromotionCrashpoint, ReplicaChaos};
 use crate::recovery::{DurabilityManager, RecoveryError, RecoveryOptions};
 use crate::stats::FaultStats;
+use crate::twin::CpuTwin;
 
 /// Server policy knobs.
 #[derive(Debug, Clone)]
@@ -133,7 +133,7 @@ pub struct BatchSummary {
 /// A fault the server could not absorb.
 #[derive(Debug)]
 pub enum ServerError {
-    /// The device was lost and rebuilding state on the CPU fallback also
+    /// The device was lost and rebuilding state on the CPU twin also
     /// failed — the log itself is damaged beyond the torn-tail case.
     DegradationFailed(RecoveryError),
     /// A chaos-scheduled process kill fired inside the standby-promotion
@@ -198,7 +198,7 @@ enum Executor {
     /// Normal operation: the (simulated) GPU engine.
     Gpu(Box<LtpgEngine>),
     /// Degraded operation after device loss: the serial CPU twin.
-    Cpu(Box<CpuFallbackEngine>),
+    Cpu(Box<CpuTwin>),
 }
 
 impl Executor {
@@ -225,12 +225,12 @@ impl Executor {
 }
 
 /// A batching OLTP server over one [`LtpgEngine`], degrading to a
-/// [`CpuFallbackEngine`] if the device is lost.
+/// [`CpuTwin`] if the device is lost.
 pub struct LtpgServer {
     executor: Executor,
     durability: DurabilityManager,
     cfg: ServerConfig,
-    /// Engine configuration, kept for recovery replays and the fallback
+    /// Engine configuration, kept for recovery replays and the CPU-twin
     /// hand-off.
     engine_cfg: LtpgConfig,
     tids: TidGen,
@@ -290,7 +290,7 @@ impl LtpgServer {
 
     /// Attach a warm-standby pool. On device loss the server promotes a
     /// standby (caught up from the WAL) instead of degrading to the CPU
-    /// fallback; the CPU twin remains the last resort once the pool is
+    /// twin; the twin remains the last resort once the pool is
     /// exhausted.
     pub fn attach_failover(&mut self, provider: Box<dyn FailoverProvider>) {
         self.failover = Some(provider);
@@ -392,7 +392,7 @@ impl LtpgServer {
         self.executor.name()
     }
 
-    /// Whether the server has degraded to the CPU fallback executor.
+    /// Whether the server has degraded to the CPU twin.
     pub fn is_degraded(&self) -> bool {
         matches!(self.executor, Executor::Cpu(_))
     }
@@ -425,14 +425,11 @@ impl LtpgServer {
         self.durability.recover(cfg)
     }
 
-    /// Abandon the device: rebuild the pre-batch state on the CPU fallback
-    /// by replaying checkpoint + log up to (excluding) `batch_id`, then
+    /// Abandon the device: rebuild the pre-batch state on the CPU twin by
+    /// replaying checkpoint + log up to (excluding) `batch_id`, then
     /// install it as the executor.
-    fn degrade_to_cpu(&mut self, batch_id: u64) -> Result<&mut CpuFallbackEngine, ServerError> {
-        let mut cpu = CpuFallbackEngine::new(
-            self.durability.checkpoint_image(),
-            self.engine_cfg.fallback_config(),
-        );
+    fn degrade_to_cpu(&mut self, batch_id: u64) -> Result<&mut CpuTwin, ServerError> {
+        let mut cpu = CpuTwin::new(self.durability.checkpoint_image(), self.engine_cfg.clone());
         let replay = self
             .durability
             .replay_onto(&mut cpu, &RecoveryOptions::default(), Some(batch_id))
@@ -488,7 +485,7 @@ impl LtpgServer {
 
     /// Execute `batch` (already logged as `batch_id`) on the active
     /// executor, absorbing transient faults, failing over to a warm
-    /// standby on device loss, and degrading to the CPU fallback as the
+    /// standby on device loss, and degrading to the CPU twin as the
     /// last resort.
     fn execute_resilient(
         &mut self,
@@ -546,7 +543,7 @@ impl LtpgServer {
 
     /// If the chaos schedule says the lost device's outage has ended,
     /// revive it and bring it back: a CPU-degraded server re-promotes to a
-    /// GPU engine over the fallback's live database (determinism makes the
+    /// GPU engine over the twin's live database (determinism makes the
     /// swap invisible); a server that already failed over offers the device
     /// to the standby pool instead. Runs at batch boundaries only — the
     /// cutover barrier.
@@ -566,17 +563,10 @@ impl LtpgServer {
         self.lost_at_batch = None;
         device.revive();
         device.reset_for_reuse();
-        if self.is_degraded() {
-            // Re-promotion from CPU fallback: the fallback's database IS
-            // the current state, so the recovered device just adopts it.
-            let placeholder = Executor::Cpu(Box::new(CpuFallbackEngine::new(
-                Database::new(),
-                self.engine_cfg.fallback_config(),
-            )));
-            let db = match std::mem::replace(&mut self.executor, placeholder) {
-                Executor::Cpu(e) => e.into_database(),
-                Executor::Gpu(e) => e.into_database(),
-            };
+        if let Executor::Cpu(twin) = &mut self.executor {
+            // Re-promotion from the CPU twin: its database IS the current
+            // state, so the recovered device just adopts it.
+            let db = twin.take_database();
             self.executor = Executor::Gpu(Box::new(LtpgEngine::with_device(
                 db,
                 self.engine_cfg.clone(),
@@ -868,6 +858,40 @@ mod tests {
         assert_eq!(
             server.database().state_digest(),
             reference.database().state_digest()
+        );
+    }
+
+    #[test]
+    fn recovered_device_repromotes_the_degraded_server() {
+        // No standbys attached: the loss degrades onto the CPU twin, and a
+        // timed recovery must bring the revived device back as the serving
+        // engine over the twin's live database, history unchanged.
+        let (db, txns) = db_and_writers(100, 5);
+        let mut reference = small_server(db.deep_clone(), 25, true);
+        reference.submit_all(txns.clone());
+        reference.drain(200);
+
+        let mut server = small_server(db, 25, true);
+        server.arm_replica_chaos(ReplicaChaos {
+            device_recovers_after_batches: Some(2),
+            ..ReplicaChaos::none()
+        });
+        server.submit_all(txns);
+        server.tick().unwrap();
+        server.force_device_failure();
+        let mut saw_degraded = false;
+        while server.tick().is_some() {
+            saw_degraded |= server.is_degraded();
+        }
+        assert!(saw_degraded, "the loss must first degrade onto the CPU twin");
+        assert!(!server.is_degraded(), "the revived device must re-promote the server");
+        assert_eq!(server.executor_name(), "LTPG");
+        assert_eq!(server.telemetry().counter_value(names::REPLICA_REPROMOTIONS), 1);
+        assert_eq!(server.stats().faults.fallback_activations, 1);
+        assert_eq!(
+            server.database().state_digest(),
+            reference.database().state_digest(),
+            "re-promotion must not change the history"
         );
     }
 

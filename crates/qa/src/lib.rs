@@ -7,7 +7,7 @@
 //! paths that must agree bit-for-bit:
 //!
 //! * the simulated-GPU [`LtpgEngine`](ltpg::LtpgEngine),
-//! * the [`CpuFallbackEngine`](ltpg_baselines::CpuFallbackEngine) twin,
+//! * the [`CpuTwin`](ltpg::CpuTwin), compared flag word by flag word,
 //! * the single-device vs sharded server pair in lockstep, and
 //! * WAL replay of the single device's log,
 //!

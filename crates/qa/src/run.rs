@@ -4,10 +4,14 @@
 //! Three passes per case:
 //!
 //! 1. **Engine pass** — the batches run through [`LtpgEngine`] and the
-//!    [`CpuFallbackEngine`] twin in parallel (no re-execution): commit
-//!    sets must match batch-for-batch, the serializability oracle must
-//!    accept every committed set against the pre-batch snapshot, and the
-//!    final state digests must be bit-identical.
+//!    [`CpuTwin`] in parallel, both split into prepare → finish (no
+//!    re-execution): every transaction's pre-merge conflict-flag word must
+//!    match before either side finishes, commit sets must match
+//!    batch-for-batch, the serializability oracle must accept every
+//!    committed set against the pre-batch snapshot, and the final state
+//!    digests must be bit-identical. The twin shares the engine's staging
+//!    and commit-rule helpers, so the oracle (and the serial TID-order
+//!    replay of the scheduler pass) stay the independent references.
 //! 2. **Server pass** — a single-device [`LtpgServer`] and a
 //!    [`ShardedServer`] (with the case's partitioner and optional
 //!    mid-run shard loss) tick in lockstep over the identical stream:
@@ -33,8 +37,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ltpg::{LtpgEngine, LtpgServer};
-use ltpg_baselines::{AddrGraphEngine, BlockStmEngine, CpuFallbackEngine};
+use ltpg::{CpuTwin, LtpgEngine, LtpgServer};
+use ltpg_baselines::{AddrGraphEngine, BlockStmEngine};
 use ltpg_txn::oracle::{check_ordered_serializable, check_snapshot_serializable};
 use ltpg_txn::{execute_serial, Batch, BatchEngine, Tid, TidGen, Txn};
 
@@ -46,6 +50,8 @@ pub enum Divergence {
     /// Two paths committed different TID sets for the same batch/tick.
     CommitSet {
         /// Which comparison failed (e.g. `engine-vs-cpu`, `sharded-vs-single`).
+        /// At `engine-vs-cpu-flags` the lists are the pre-merge flag words
+        /// of the batch's transactions, in TID order.
         site: String,
         /// Batch (engine pass) or tick (server pass) index.
         step: usize,
@@ -192,24 +198,45 @@ fn run_case_inner(case: &QaCase) -> Result<CaseOutcome, Divergence> {
     Ok(outcome)
 }
 
-/// Pass 1: GPU engine vs CPU fallback twin vs the oracle, batch by batch.
+/// Pass 1: GPU engine vs CPU twin vs the oracle, batch by batch.
 fn engine_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergence> {
     let cfg = case.engine_config();
     let db = case.build_database();
     let mut gpu = LtpgEngine::new(db.deep_clone(), cfg.clone());
-    let mut cpu = CpuFallbackEngine::new(db, cfg.fallback_config());
+    let mut cpu = CpuTwin::new(db, cfg);
     let mut tidgen = TidGen::new();
     for (step, chunk) in case.batches().enumerate() {
         let pre = gpu.database().deep_clone();
         let batch = Batch::assemble(Vec::new(), chunk.to_vec(), &mut tidgen);
-        let grep = gpu.execute_batch_report(&batch).report;
-        let crep = cpu.execute_batch(&batch);
-        if grep.committed != crep.committed {
+        // `execute_batch_report` is exactly prepare + finish; splitting it
+        // exposes the flag words between the phases.
+        let gprep = gpu
+            .try_prepare_batch(&batch, None)
+            .expect("no device fault plan is armed in the engine pass");
+        let cprep = cpu.prepare(&batch, None);
+        let gwords: Vec<u64> = (0..batch.len()).map(|i| u64::from(gprep.flag_word(i))).collect();
+        let cwords: Vec<u64> = (0..batch.len()).map(|i| u64::from(cprep.flag_word(i))).collect();
+        if gwords != cwords {
+            return Err(Divergence::CommitSet {
+                site: "engine-vs-cpu-flags".into(),
+                step,
+                expected: gwords,
+                got: cwords,
+            });
+        }
+        let grep = gpu
+            .try_finish_batch(&batch, gprep, None)
+            .expect("no device fault plan is armed in the engine pass")
+            .report;
+        let (ccommits, _) = cpu.finish(cprep, None);
+        let ccommitted: Vec<Tid> =
+            batch.txns.iter().zip(&ccommits).filter(|(_, &c)| c).map(|(t, _)| t.tid).collect();
+        if grep.committed != ccommitted {
             return Err(Divergence::CommitSet {
                 site: "engine-vs-cpu".into(),
                 step,
                 expected: tids(&grep.committed),
-                got: tids(&crep.committed),
+                got: tids(&ccommitted),
             });
         }
         let committed: Vec<&Txn> = grep

@@ -23,7 +23,7 @@
 //! * [`ShardedServer`] wraps the N engines behind submit/tick/drain, with
 //!   per-shard WALs + checkpoints (batch ids aligned across shards) and
 //!   per-shard fault injection: losing one device degrades only that
-//!   shard to the scoped CPU twin ([`CpuShardEngine`]), rebuilt by joint
+//!   shard to the scoped CPU twin ([`ltpg::CpuTwin`]), rebuilt by joint
 //!   lockstep WAL replay, while the history stays bit-identical.
 //! * Topology is **elastic**: a [`RebalancePlan`] (range splits, merges,
 //!   moves, or wholesale rule swaps) validated against the live
@@ -43,19 +43,17 @@
 //! See DESIGN.md ("Sharded execution") for the exactness argument and its
 //! one caveat (`LOG_FULL` capacity divergence).
 
-pub mod cpu;
 pub mod partition;
 pub mod rebalance;
 pub mod remote;
 pub mod router;
 pub mod server;
 
-pub use cpu::{CpuPrepared, CpuShardEngine};
 pub use partition::{tpcc_partitioner, ycsb_partitioner, PartitionError, Partitioner, TableRule};
 pub use rebalance::{
     plan_split, Imbalance, PlannerConfig, RebalanceError, RebalanceOp, RebalancePlan,
     RebalancePlanner,
 };
-pub use remote::{ChainStore, RemoteView};
+pub use remote::RemoteView;
 pub use router::{Route, Router};
 pub use server::{ShardedBatchSummary, ShardedServer, ShardedStats};

@@ -8,11 +8,10 @@
 //! shards execute against the same consistent batch-start cut, so a remote
 //! read observes exactly the value the owning shard's own lanes observe.
 //!
-//! [`ChainStore`] is the local-then-remote composition used by the CPU
-//! fallback twin; it mirrors the scoped store inside
-//! `ltpg::LtpgEngine::try_prepare_batch` bit-for-bit (local hit wins,
-//! existence is the OR, range scans merge both sides) so a degraded shard
-//! keeps producing identical execution results.
+//! The view is handed to executors as [`ExecScope::remote`](ltpg::ExecScope);
+//! the GPU engine and the CPU twin ([`ltpg::CpuTwin`]) chain it behind the
+//! shard's own slice with one shared local-then-remote store, so a degraded
+//! shard keeps producing identical execution results.
 
 use ltpg_storage::{ColId, Database, TableId};
 use ltpg_txn::CellStore;
@@ -81,44 +80,6 @@ impl CellStore for RemoteView<'_> {
     }
 }
 
-/// Local-then-remote scope chain, semantically identical to the scoped
-/// store `ltpg::LtpgEngine` builds internally from an
-/// [`ExecScope`](ltpg::ExecScope). The CPU twin uses it so that a degraded
-/// shard executes cross-shard transactions exactly like its GPU peers.
-pub struct ChainStore<'a> {
-    /// The executing shard's own slice (wins on cell hits).
-    pub local: &'a Database,
-    /// The remote view over the other shards.
-    pub remote: &'a (dyn CellStore + Sync),
-}
-
-impl CellStore for ChainStore<'_> {
-    fn cell(&self, table: TableId, key: i64, col: ColId) -> Option<i64> {
-        self.local.cell(table, key, col).or_else(|| self.remote.cell(table, key, col))
-    }
-
-    fn row_exists(&self, table: TableId, key: i64) -> bool {
-        self.local.row_exists(table, key) || self.remote.row_exists(table, key)
-    }
-
-    fn row_width(&self, table: TableId) -> usize {
-        self.local.row_width(table)
-    }
-
-    fn range_keys(&self, table: TableId, lo: i64, hi: i64) -> Option<Vec<i64>> {
-        match (self.local.range_keys(table, lo, hi), self.remote.range_keys(table, lo, hi)) {
-            (None, None) => None,
-            (a, b) => {
-                let mut keys: Vec<i64> =
-                    a.into_iter().flatten().chain(b.into_iter().flatten()).collect();
-                keys.sort_unstable();
-                keys.dedup();
-                Some(keys)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,7 +104,6 @@ mod tests {
     #[test]
     fn remote_view_routes_reads_to_the_owning_shard() {
         let part = Partitioner::new(2, TableRule::Stride { stride: 1 });
-        let d0 = db_with(&[2, 4]);
         let d1 = db_with(&[1, 3]);
         // Shard 0 reading: own slot empty.
         let view = RemoteView::new(&part, vec![None, Some(&d1)]);
@@ -151,10 +111,6 @@ mod tests {
         assert_eq!(view.cell(T, 2, ColId(0)), None, "own rows are not in the view");
         assert!(view.row_exists(T, 1) && !view.row_exists(T, 4));
         assert_eq!(view.row_width(T), 1);
-
-        let chain = ChainStore { local: &d0, remote: &view };
-        assert_eq!(chain.cell(T, 2, ColId(0)), Some(20));
-        assert_eq!(chain.cell(T, 3, ColId(0)), Some(30));
-        assert_eq!(chain.range_keys(T, 1, 5), Some(vec![1, 2, 3, 4]));
+        assert_eq!(view.range_keys(T, 1, 5), Some(vec![1, 3]), "scans see only peer slices");
     }
 }

@@ -25,7 +25,7 @@
 //! ## Degradation
 //!
 //! Device loss on any shard degrades *only that shard* to the scoped CPU
-//! twin ([`CpuShardEngine`]): the server rebuilds every shard's pre-batch
+//! twin ([`CpuTwin`]): the server rebuilds every shard's pre-batch
 //! state from its own checkpoint + WAL by a joint lockstep replay (the
 //! sub-batches were logged before execution, so the in-flight batch is
 //! replayed too), installs the CPU twin on the lost shard and fresh
@@ -39,16 +39,15 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ltpg::{
-    commit_decision, DurabilityManager, ExecScope, LtpgConfig, LtpgEngine, PreparedBatch,
-    PromotionCrashpoint, RecoveryError, ReplicaChaos, ServerConfig, ServerError,
+    commit_decision, CpuPrepared, CpuTwin, DurabilityManager, ExecScope, LtpgConfig, LtpgEngine,
+    PreparedBatch, PromotionCrashpoint, RecoveryError, ReplicaChaos, ServerConfig, ServerError,
 };
 use ltpg_gpu_sim::{Device, DeviceError, DeviceFaultPlan};
 use ltpg_replica::{HealthMonitor, HealthVerdict, Heartbeat, MergedWords, ReplicaConfig, ReplicaError, ReplicaSet};
 use ltpg_storage::{Database, TableId};
 use ltpg_telemetry::{names, Registry};
-use ltpg_txn::{decode_batch, Batch, Tid, TidGen, Txn};
+use ltpg_txn::{decode_batch, Batch, BatchEngine, CellStore, Tid, TidGen, Txn};
 
-use crate::cpu::{CpuPrepared, CpuShardEngine};
 use crate::partition::Partitioner;
 use crate::rebalance::{plan_split, PlannerConfig, RebalanceError, RebalancePlan, RebalancePlanner};
 use crate::remote::RemoteView;
@@ -119,7 +118,13 @@ struct Shard {
     exec: ShardExec,
     durability: DurabilityManager,
     telemetry: Arc<Registry>,
-    degraded: bool,
+}
+
+impl Shard {
+    /// Whether this shard runs degraded on its CPU twin.
+    fn degraded(&self) -> bool {
+        matches!(self.exec, ShardExec::Cpu(_))
+    }
 }
 
 /// The executor currently serving a shard's sub-batches.
@@ -127,18 +132,14 @@ enum ShardExec {
     /// Normal operation: the shard's (simulated) GPU engine.
     Gpu(Box<LtpgEngine>),
     /// Degraded operation after this shard's device was lost.
-    Cpu(Box<CpuShardEngine>),
-    /// Transient placeholder while the executor is borrowed out for a
-    /// prepare/finish call (never observable between ticks).
-    Vacant,
+    Cpu(Box<CpuTwin>),
 }
 
 impl ShardExec {
     fn database(&self) -> &Database {
         match self {
-            ShardExec::Gpu(e) => ltpg_txn::BatchEngine::database(&**e),
+            ShardExec::Gpu(e) => e.database(),
             ShardExec::Cpu(e) => e.database(),
-            ShardExec::Vacant => unreachable!("executor borrowed out"),
         }
     }
 }
@@ -239,7 +240,6 @@ impl ShardedServer {
                     ))),
                     durability,
                     telemetry: shard_reg,
-                    degraded: false,
                 }
             })
             .collect();
@@ -325,7 +325,7 @@ impl ShardedServer {
 
     /// Whether shard `s` has degraded to its CPU twin.
     pub fn is_degraded(&self, s: u32) -> bool {
-        self.shards[s as usize].degraded
+        self.shards[s as usize].degraded()
     }
 
     /// Cumulative statistics.
@@ -423,7 +423,7 @@ impl ShardedServer {
     /// single authority for that number — degradation, re-promotion and
     /// failover all route through here so the two views cannot drift.
     fn refresh_degraded(&mut self) {
-        self.stats.degraded_shards = self.shards.iter().filter(|sh| sh.degraded).count() as u32;
+        self.stats.degraded_shards = self.shards.iter().filter(|sh| sh.degraded()).count() as u32;
         self.telemetry.gauge(names::SHARD_DEGRADED).set(self.stats.degraded_shards as i64);
     }
 
@@ -536,8 +536,8 @@ impl ShardedServer {
             // failover catch-up start from post-cutover images and never
             // span the rule change.
             self.shards[s].durability.checkpoint(&slice);
-            self.shards[s].exec = if self.shards[s].degraded {
-                ShardExec::Cpu(Box::new(CpuShardEngine::new(slice, self.engine_cfg.clone())))
+            self.shards[s].exec = if self.shards[s].degraded() {
+                ShardExec::Cpu(Box::new(CpuTwin::new(slice, self.engine_cfg.clone())))
             } else {
                 // Fresh engines over the new slices (fault plans armed on
                 // the old devices are not carried over, as in degradation).
@@ -583,12 +583,6 @@ impl ShardedServer {
         self.stats.rows_migrated += migrated;
     }
 
-    /// Scope closures for shard `s`; `None` when the server has one shard
-    /// (its slice is the whole database).
-    fn scoped(&self) -> bool {
-        self.shards.len() > 1
-    }
-
     /// Split the global batch into per-shard sub-batches (global TID order
     /// preserved), the per-shard global-index mapping, and route counts
     /// `(single, multi, broadcast)`.
@@ -617,94 +611,53 @@ impl ShardedServer {
     }
 
     /// Prepare shard `s`'s sub-batch, retrying transient upload faults
-    /// with exponential backoff. `Ok(None)` means the shard's device is
-    /// lost (or hopelessly flaky) and the caller must degrade.
-    fn prepare_shard(
-        &mut self,
-        s: usize,
-        sub: &Batch,
-        backoff_ns: &mut f64,
-    ) -> Option<Prepared> {
-        let exec = std::mem::replace(&mut self.shards[s].exec, ShardExec::Vacant);
+    /// with exponential backoff. `None` means the shard's device is lost
+    /// (or hopelessly flaky) and the caller must degrade.
+    fn prepare_shard(&mut self, s: usize, sub: &Batch, backoff_ns: &mut f64) -> Option<Prepared> {
         let part = self.router.partitioner();
-        let shard_id = s as u32;
-        let owns_row = move |t, k| part.owns_row(shard_id, t, k);
-        let owns_mem = move |t, p| part.owns_membership(shard_id, t, p);
-        let dbs: Vec<Option<&Database>> = self
-            .shards
-            .iter()
-            .map(|sh| match &sh.exec {
-                ShardExec::Gpu(e) => Some(ltpg_txn::BatchEngine::database(&**e)),
-                ShardExec::Cpu(e) => Some(e.database()),
-                ShardExec::Vacant => None,
-            })
-            .collect();
-        let view = RemoteView::new(part, dbs);
-        let scope = ExecScope { remote: Some(&view), owns_row: &owns_row, owns_membership: &owns_mem };
-        let scope = self.scoped().then_some(&scope);
-        let (result, exec) = match exec {
-            ShardExec::Gpu(mut e) => {
+        let cfg = &self.cfg;
+        let (shard, peers) = split_peers(&mut self.shards, s, |sh| Some(sh.exec.database()));
+        let Shard { exec, telemetry, .. } = shard;
+        with_scope(part, s, Some(peers), |scope| match exec {
+            ShardExec::Gpu(e) => {
                 let mut attempt = 0u32;
-                let r = loop {
+                loop {
                     match e.try_prepare_batch(sub, scope) {
                         Ok(p) => break Some(Prepared::Gpu(Box::new(p))),
                         Err(DeviceError::TransientTransfer { .. })
-                            if attempt < self.cfg.max_transient_retries =>
+                            if attempt < cfg.max_transient_retries =>
                         {
                             attempt += 1;
-                            self.shards[s]
-                                .telemetry
-                                .counter(names::FAULT_TRANSIENT_RETRIES)
-                                .inc();
-                            let pause = self.cfg.retry_backoff_ns
-                                * 2f64.powi((attempt - 1).min(30) as i32);
+                            telemetry.counter(names::FAULT_TRANSIENT_RETRIES).inc();
+                            let pause =
+                                cfg.retry_backoff_ns * 2f64.powi((attempt - 1).min(30) as i32);
                             *backoff_ns += pause;
-                            self.shards[s]
-                                .telemetry
-                                .counter(names::FAULT_BACKOFF_NS)
-                                .add(pause.round() as u64);
+                            telemetry.counter(names::FAULT_BACKOFF_NS).add(pause.round() as u64);
                         }
                         Err(_) => break None,
                     }
-                };
-                (r, ShardExec::Gpu(e))
-            }
-            ShardExec::Cpu(mut e) => {
-                let p = e.prepare(sub, scope);
-                (Some(Prepared::Cpu(p)), ShardExec::Cpu(e))
-            }
-            ShardExec::Vacant => unreachable!("executor borrowed out"),
-        };
-        drop(view);
-        self.shards[s].exec = exec;
-        result
-    }
-
-    /// Finish shard `s`'s sub-batch with merged flag words. `false` means
-    /// the device died mid-finish and the caller must degrade.
-    fn finish_shard(&mut self, s: usize, sub: &Batch, prepared: Prepared) -> Option<f64> {
-        let part = self.router.partitioner();
-        let shard_id = s as u32;
-        let owns_row = move |t, k| part.owns_row(shard_id, t, k);
-        let owns_mem = move |t, p| part.owns_membership(shard_id, t, p);
-        // Finish never reads remote rows (write-back applies only owned
-        // mutations), so the scope carries no remote view.
-        let scope = ExecScope { remote: None, owns_row: &owns_row, owns_membership: &owns_mem };
-        let scope = self.scoped().then_some(&scope);
-        match (&mut self.shards[s].exec, prepared) {
-            (ShardExec::Gpu(e), Prepared::Gpu(p)) => {
-                let prep_ns = p.sim_ns();
-                match e.try_finish_batch(sub, *p, scope) {
-                    Ok(r) => Some(r.stats.total_ns() - prep_ns),
-                    Err(_) => None,
                 }
             }
-            (ShardExec::Cpu(e), Prepared::Cpu(p)) => {
-                let (_, finish_ns) = e.finish(sub, p, scope);
-                Some(finish_ns)
+            ShardExec::Cpu(e) => Some(Prepared::Cpu(e.prepare(sub, scope))),
+        })
+    }
+
+    /// Finish shard `s`'s sub-batch with merged flag words, returning the
+    /// finish sim-ns. `None` means the device died mid-finish and the
+    /// caller must degrade.
+    fn finish_shard(&mut self, s: usize, sub: &Batch, prepared: Prepared) -> Option<f64> {
+        let part = self.router.partitioner();
+        let exec = &mut self.shards[s].exec;
+        // Finish never reads remote rows (write-back applies only owned
+        // mutations), so the scope carries no remote view.
+        with_scope(part, s, None, |scope| match (exec, prepared) {
+            (ShardExec::Gpu(e), Prepared::Gpu(p)) => {
+                let prep_ns = p.sim_ns();
+                e.try_finish_batch(sub, *p, scope).ok().map(|r| r.stats.total_ns() - prep_ns)
             }
+            (ShardExec::Cpu(e), Prepared::Cpu(p)) => Some(e.finish(p, scope).1),
             _ => unreachable!("prepared state does not match the shard executor"),
-        }
+        })
     }
 
     /// Degrade after shard `failed` lost its device: rebuild every shard's
@@ -715,16 +668,10 @@ impl ShardedServer {
     /// flag words of the final (in-flight) replayed batch by TID.
     fn degrade_and_replay(&mut self, failed: usize) -> Result<BTreeMap<u64, u32>, ServerError> {
         let n = self.shards.len();
-        let scoped = self.scoped();
-        let mut twins: Vec<Option<CpuShardEngine>> = self
+        let mut twins: Vec<CpuTwin> = self
             .shards
             .iter()
-            .map(|sh| {
-                Some(CpuShardEngine::new(
-                    sh.durability.checkpoint_image(),
-                    self.engine_cfg.clone(),
-                ))
-            })
+            .map(|sh| CpuTwin::new(sh.durability.checkpoint_image(), self.engine_cfg.clone()))
             .collect();
         // Checkpoints are taken jointly (same tick on every shard), so
         // every shard replays the same id range.
@@ -750,20 +697,8 @@ impl ShardedServer {
                     prepared.push(None);
                     continue;
                 }
-                let mut twin = twins[s].take().expect("twin present");
-                let p = {
-                    let dbs: Vec<Option<&Database>> =
-                        twins.iter().map(|t| t.as_ref().map(|t| t.database())).collect();
-                    let view = RemoteView::new(part, dbs);
-                    let shard_id = s as u32;
-                    let owns_row = move |t, k| part.owns_row(shard_id, t, k);
-                    let owns_mem = move |t, p| part.owns_membership(shard_id, t, p);
-                    let scope =
-                        ExecScope { remote: Some(&view), owns_row: &owns_row, owns_membership: &owns_mem };
-                    twin.prepare(sub, scoped.then_some(&scope))
-                };
-                twins[s] = Some(twin);
-                prepared.push(Some(p));
+                let (twin, peers) = split_peers(&mut twins, s, |t| Some(t.database()));
+                prepared.push(Some(with_scope(part, s, Some(peers), |scope| twin.prepare(sub, scope))));
             }
             let mut merged: BTreeMap<u64, u32> = BTreeMap::new();
             for (s, p) in prepared.iter().enumerate() {
@@ -772,28 +707,21 @@ impl ShardedServer {
                     *merged.entry(txn.tid.0).or_insert(0) |= p.flag_word(j);
                 }
             }
-            for (s, slot) in prepared.iter_mut().enumerate() {
-                let Some(mut p) = slot.take() else { continue };
+            for (s, p) in prepared.into_iter().enumerate() {
+                let Some(mut p) = p else { continue };
                 for (j, txn) in subs[s].txns.iter().enumerate() {
                     p.set_flag_word(j, merged[&txn.tid.0]);
                 }
-                let twin = twins[s].as_mut().expect("twin present");
-                let shard_id = s as u32;
-                let owns_row = move |t, k| part.owns_row(shard_id, t, k);
-                let owns_mem = move |t, p| part.owns_membership(shard_id, t, p);
-                let scope =
-                    ExecScope { remote: None, owns_row: &owns_row, owns_membership: &owns_mem };
-                twin.finish(&subs[s], p, scoped.then_some(&scope));
+                let twin = &mut twins[s];
+                with_scope(part, s, None, |scope| twin.finish(p, scope));
             }
             last_merged = merged;
         }
         for (s, (shard, twin)) in self.shards.iter_mut().zip(twins).enumerate() {
-            let twin = twin.expect("twin present");
             if s == failed {
-                shard.degraded = true;
                 shard.telemetry.counter(names::FAULT_FALLBACK_ACTIVATIONS).inc();
                 shard.exec = ShardExec::Cpu(Box::new(twin));
-            } else if shard.degraded {
+            } else if shard.degraded() {
                 // Already on the CPU twin before this fault; stay there.
                 shard.exec = ShardExec::Cpu(Box::new(twin));
             } else {
@@ -856,7 +784,6 @@ impl ShardedServer {
         for (s, mut engine) in engines.into_iter().enumerate() {
             engine.rebind_telemetry(Arc::clone(&self.shards[s].telemetry));
             self.shards[s].exec = ShardExec::Gpu(Box::new(engine));
-            self.shards[s].degraded = false;
         }
         // The promoted row replaces the whole topology with healthy GPU
         // engines, so any CPU-degraded shard is healed by the cutover.
@@ -923,18 +850,15 @@ impl ShardedServer {
         self.lost_at_batch = None;
         device.revive();
         device.reset_for_reuse();
-        if self.shards[s].degraded {
-            let exec = std::mem::replace(&mut self.shards[s].exec, ShardExec::Vacant);
-            let ShardExec::Cpu(twin) = exec else {
-                unreachable!("degraded shard must hold the CPU twin")
-            };
-            self.shards[s].exec = ShardExec::Gpu(Box::new(LtpgEngine::with_device(
-                twin.into_database(),
+        let shard = &mut self.shards[s];
+        if let ShardExec::Cpu(twin) = &mut shard.exec {
+            let db = twin.take_database();
+            shard.exec = ShardExec::Gpu(Box::new(LtpgEngine::with_device(
+                db,
                 self.engine_cfg.clone(),
-                Arc::clone(&self.shards[s].telemetry),
+                Arc::clone(&shard.telemetry),
                 device,
             )));
-            self.shards[s].degraded = false;
             self.refresh_degraded();
             self.telemetry.counter(names::REPLICA_REPROMOTIONS).inc();
             if let Some(m) = self.monitors.get_mut(s) {
@@ -1173,7 +1097,6 @@ fn joint_replay_driver<'a>(
 ) -> impl FnMut(&mut [Option<LtpgEngine>], u64) -> Result<MergedWords, ReplicaError> + 'a {
     move |engines, batch_id| {
         let n = shards.len();
-        let scoped = n > 1;
         let part = router.partitioner();
         let mut subs: Vec<Batch> = Vec::with_capacity(n);
         for sh in shards {
@@ -1192,21 +1115,9 @@ fn joint_replay_driver<'a>(
                 prepared.push(None);
                 continue;
             }
-            let mut engine = engines[s].take().expect("standby engine present");
-            let result = {
-                let dbs: Vec<Option<&Database>> = engines
-                    .iter()
-                    .map(|e| e.as_ref().map(ltpg_txn::BatchEngine::database))
-                    .collect();
-                let view = RemoteView::new(part, dbs);
-                let shard_id = s as u32;
-                let owns_row = move |t, k| part.owns_row(shard_id, t, k);
-                let owns_mem = move |t, p| part.owns_membership(shard_id, t, p);
-                let scope =
-                    ExecScope { remote: Some(&view), owns_row: &owns_row, owns_membership: &owns_mem };
-                engine.try_prepare_batch(sub, scoped.then_some(&scope))
-            };
-            engines[s] = Some(engine);
+            let (own, peers) = split_peers(engines, s, |e| e.as_ref().map(LtpgEngine::database));
+            let engine = own.as_mut().expect("standby engine present");
+            let result = with_scope(part, s, Some(peers), |scope| engine.try_prepare_batch(sub, scope));
             prepared.push(Some(result.map_err(ReplicaError::Dead)?));
         }
         let mut merged: MergedWords = BTreeMap::new();
@@ -1216,22 +1127,58 @@ fn joint_replay_driver<'a>(
                 *merged.entry(txn.tid.0).or_insert(0) |= p.flag_word(j);
             }
         }
-        for (s, slot) in prepared.iter_mut().enumerate() {
-            let Some(p) = slot.take() else { continue };
+        for (s, p) in prepared.into_iter().enumerate() {
+            let Some(p) = p else { continue };
             for (j, txn) in subs[s].txns.iter().enumerate() {
                 p.set_flag_word(j, merged[&txn.tid.0]);
             }
             let engine = engines[s].as_mut().expect("standby engine present");
-            let shard_id = s as u32;
-            let owns_row = move |t, k| part.owns_row(shard_id, t, k);
-            let owns_mem = move |t, p| part.owns_membership(shard_id, t, p);
-            let scope = ExecScope { remote: None, owns_row: &owns_row, owns_membership: &owns_mem };
-            engine
-                .try_finish_batch(&subs[s], p, scoped.then_some(&scope))
+            with_scope(part, s, None, |scope| engine.try_finish_batch(&subs[s], p, scope))
                 .map_err(ReplicaError::Dead)?;
         }
         Ok(merged)
     }
+}
+
+/// Run `f` under shard `s`'s ownership scope: registration, detection and
+/// write-back cover only the cells `part` assigns to `s`, and with `peers`
+/// (the other shards' databases, `None` at `s`) reads of rows held
+/// elsewhere resolve through a [`RemoteView`]. A one-shard topology runs
+/// unscoped (`None`): its slice is the whole database.
+fn with_scope<R>(
+    part: &Partitioner,
+    s: usize,
+    peers: Option<Vec<Option<&Database>>>,
+    f: impl FnOnce(Option<&ExecScope<'_>>) -> R,
+) -> R {
+    if part.shards() <= 1 {
+        return f(None);
+    }
+    let shard_id = s as u32;
+    let owns_row = move |t, k| part.owns_row(shard_id, t, k);
+    let owns_mem = move |t, p| part.owns_membership(shard_id, t, p);
+    let view = peers.map(|dbs| RemoteView::new(part, dbs));
+    let scope = ExecScope {
+        remote: view.as_ref().map(|v| v as &(dyn CellStore + Sync)),
+        owns_row: &owns_row,
+        owns_membership: &owns_mem,
+    };
+    f(Some(&scope))
+}
+
+/// Borrow shard `s`'s entry of `items` mutably alongside its peers'
+/// databases, laid out for [`RemoteView`] (`None` at `s`).
+fn split_peers<'a, T>(
+    items: &'a mut [T],
+    s: usize,
+    db: impl Fn(&'a T) -> Option<&'a Database>,
+) -> (&'a mut T, Vec<Option<&'a Database>>) {
+    let (before, rest) = items.split_at_mut(s);
+    let (own, after) = rest.split_first_mut().expect("shard index in range");
+    let (before, after): (&'a [T], &'a [T]) = (before, after);
+    let peers =
+        before.iter().map(&db).chain(std::iter::once(None)).chain(after.iter().map(&db)).collect();
+    (own, peers)
 }
 
 impl std::fmt::Debug for ShardedServer {

@@ -135,7 +135,7 @@ pub const FAULT_RETRY_PENALTY_NS: &str = "faults.retry_penalty_ns";
 pub const FAULT_FRAMES_TRUNCATED: &str = "faults.frames_truncated";
 /// Counter: bytes truncated from the WAL during degraded recovery.
 pub const FAULT_BYTES_TRUNCATED: &str = "faults.bytes_truncated";
-/// Counter: graceful degradations to the CPU fallback engine.
+/// Counter: graceful degradations to the CPU twin (`ltpg::CpuTwin`).
 pub const FAULT_FALLBACK_ACTIVATIONS: &str = "faults.fallback_activations";
 
 /// All fault counters, in export order.
@@ -178,7 +178,7 @@ pub const SHARD_MERGE_STALL_NS: &str = "shard.merge.stall_ns";
 /// Histogram: per-tick simulated critical-path ns across all shards
 /// (slowest shard's prepare + finish).
 pub const SHARD_TICK_NS: &str = "shard.tick_ns";
-/// Gauge: shards currently degraded to the CPU fallback.
+/// Gauge: shards currently degraded to the CPU twin.
 pub const SHARD_DEGRADED: &str = "shard.degraded";
 
 // --- ingestion front-end (`ltpg-front`) --------------------------------------
@@ -295,7 +295,7 @@ pub const REPLICA_PROMOTIONS: &str = "replica.promotions";
 /// Counter: primaries demoted out of service (device loss or health
 /// verdict) plus standby rows dropped as dead.
 pub const REPLICA_DEMOTIONS: &str = "replica.demotions";
-/// Counter: recovered devices re-promoted from CPU fallback back to a GPU
+/// Counter: recovered devices re-promoted from the CPU twin back to a GPU
 /// engine, or re-enlisted into the standby pool.
 pub const REPLICA_REPROMOTIONS: &str = "replica.repromotions";
 /// Counter: batches applied to standbys by catch-up replay (both the
