@@ -16,7 +16,7 @@ fn bench_register(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
             let mut epoch = 1u32;
             b.iter(|| {
-                let log = TableLog::new(1 << 13, s_u);
+                let log = TableLog::new(1 << 13, s_u, 1);
                 device.launch_indexed("reg", 4_096, |lane| {
                     let key = if hot { 7 } else { lane.global_id as i64 };
                     let _ = log.register_write(lane, black_box(key), lane.global_id as u64 + 1, epoch);
@@ -33,7 +33,7 @@ fn bench_detect(c: &mut Criterion) {
     let device = Device::new(DeviceConfig::default());
     let mut group = c.benchmark_group("conflict_log/min_write_4096");
     for (label, s_u) in [("su1", 1usize), ("su32", 32)] {
-        let log = TableLog::new(1 << 13, s_u);
+        let log = TableLog::new(1 << 13, s_u, 1);
         device.launch_indexed("seed", 4_096, |lane| {
             let _ = log.register_write(lane, (lane.global_id % 512) as i64, lane.global_id as u64 + 1, 1);
         });

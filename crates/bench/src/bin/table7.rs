@@ -23,7 +23,8 @@ struct Cell {
 
 fn run(threads: usize, s_h: usize, s_u: usize) -> (f64, f64) {
     let device = Device::new(DeviceConfig::default());
-    let log = TableLog::new(s_h, s_u);
+    // Probe width 1: one lane walks buckets and slots serially.
+    let log = TableLog::new(s_h, s_u, 1);
     // Mark: every lane registers its TID against key (lane % s_h) — the
     // distinct-key count equals the hash-table size, as in the paper.
     let mark = device.launch_indexed("mark", threads, |lane| {

@@ -67,66 +67,6 @@ impl Default for OptFlags {
     }
 }
 
-/// Host/engine hot-path optimizations (the telemetry-guided speed pass).
-///
-/// Unlike [`OptFlags`] these are *not* paper ablation axes: every toggle
-/// here is decision-neutral by construction — it changes how much
-/// simulated time and host allocation a batch costs, never which
-/// transactions commit. The QA differential harness runs bit-identical
-/// with any combination. `all()` is the shipping configuration; `none()`
-/// reproduces the pre-optimization engine for before/after benches
-/// (`hotpath_bench`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HotpathOpts {
-    /// Reuse per-batch host buffers (lane order, flag words, detect items,
-    /// outcome slots, merge scratch) across batches instead of
-    /// reallocating them every tick. Steady-state ticks allocate nothing
-    /// and charge no device-allocation time.
-    pub arena_reuse: bool,
-    /// Keep conflict-flag words and TIDs in dense structure-of-arrays
-    /// buffers so the detect and writeback kernels charge coalesced
-    /// global reads instead of gathering through the AoS transaction
-    /// array.
-    pub soa_layout: bool,
-    /// Warp-cooperative bucket probing in `TableLog` (WarpSpeed-style):
-    /// one warp ballot inspects `warp_size` buckets/slots at a time
-    /// instead of a serial per-bucket loop.
-    pub warp_probe: bool,
-    /// Emit conflict-detection items inline during the execute phase
-    /// instead of re-walking every transaction's access set in a second
-    /// host pass between execute and detect.
-    pub single_scan_detect: bool,
-}
-
-impl HotpathOpts {
-    /// Everything on (the shipping configuration).
-    pub fn all() -> Self {
-        HotpathOpts {
-            arena_reuse: true,
-            soa_layout: true,
-            warp_probe: true,
-            single_scan_detect: true,
-        }
-    }
-
-    /// Everything off — the engine as it stood before the speed pass;
-    /// the "before" leg of `hotpath_bench`.
-    pub fn none() -> Self {
-        HotpathOpts {
-            arena_reuse: false,
-            soa_layout: false,
-            warp_probe: false,
-            single_scan_detect: false,
-        }
-    }
-}
-
-impl Default for HotpathOpts {
-    fn default() -> Self {
-        Self::all()
-    }
-}
-
 /// How results return to the host after each batch (paper §IV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncMode {
@@ -148,9 +88,6 @@ pub enum SyncMode {
 pub struct LtpgConfig {
     /// Optimization toggles.
     pub opts: OptFlags,
-    /// Hot-path (host/engine) optimizations; decision-neutral, see
-    /// [`HotpathOpts`].
-    pub hotpath: HotpathOpts,
     /// Simulated device setup (warp size, memory mode, host parallelism).
     pub device: DeviceConfig,
     /// Result synchronization mode.
@@ -197,7 +134,6 @@ impl Default for LtpgConfig {
     fn default() -> Self {
         LtpgConfig {
             opts: OptFlags::all(),
-            hotpath: HotpathOpts::all(),
             device: DeviceConfig::default(),
             sync: SyncMode::default(),
             max_batch: 1 << 14,
@@ -220,15 +156,6 @@ mod tests {
         let partial = OptFlags::all().with_contention_suite(false);
         assert!(partial.warp_division && partial.dynamic_buckets);
         assert!(!partial.logical_reordering && !partial.delayed_update && !partial.conflict_splitting);
-    }
-
-    #[test]
-    fn hotpath_presets() {
-        assert!(HotpathOpts::all().arena_reuse && HotpathOpts::all().warp_probe);
-        let off = HotpathOpts::none();
-        assert!(!off.soa_layout && !off.single_scan_detect);
-        // The default configuration ships with the speed pass on.
-        assert_eq!(LtpgConfig::default().hotpath, HotpathOpts::all());
     }
 
     #[test]

@@ -33,12 +33,15 @@ use ltpg_gpu_sim::{Lane, SimAtomicU64};
 use ltpg_storage::{ColId, Database, TableId};
 
 use crate::config::LtpgConfig;
+use crate::engine::{AccessKind, CellAccess, LogCell};
 
 /// TIDs must fit in 40 bits (≈ 10¹² transactions per engine lifetime).
 const TID_BITS: u32 = 40;
 const TID_MASK: u64 = (1 << TID_BITS) - 1;
 /// Epochs fit in the remaining 24 bits.
 const EPOCH_CEIL: u64 = (1 << 24) - 1;
+/// Last epoch a batch runs under before the log wipes and restarts at 1.
+const LAST_EPOCH: u32 = (EPOCH_CEIL - 2) as u32;
 /// Slot value meaning "never written".
 const SLOT_EMPTY: u64 = u64::MAX;
 
@@ -92,20 +95,19 @@ pub struct TableLog {
     write_mark: Vec<AtomicU64>,
     /// Accesses observed in the current batch (popularity telemetry).
     accesses: AtomicU64,
-    /// `Some(warp_size)` = warp-cooperative probing (WarpSpeed-style): the
-    /// warp ballots over `warp_size` buckets (or slots) at once — one
-    /// cached inspection plus one shuffle step per *group*, instead of one
-    /// inspection per bucket — and the detection scan's slot minimum folds
-    /// through a log₂(warp_size) shuffle reduction. `None` = the original
-    /// serial per-lane loop. Timing-only: claims, registrations and
-    /// minima are identical either way.
-    ballot: Option<usize>,
+    /// Probe width `ws` (WarpSpeed-style warp-cooperative probing): the
+    /// warp ballots over `ws` buckets (or slots) at once — one cached
+    /// inspection plus one shuffle step per *group* — and the detection
+    /// scan's slot minimum folds through a log₂(ws) shuffle reduction.
+    /// Width 1 is a serial per-lane loop. Timing-only: claims,
+    /// registrations and minima are identical at every width.
+    probe_width: usize,
 }
 
 impl TableLog {
     /// Create a log with `s_h` buckets (rounded up to a power of two) of
-    /// `s_u` slots each.
-    pub fn new(s_h: usize, s_u: usize) -> Self {
+    /// `s_u` slots each, probed `probe_width` buckets/slots at a time.
+    pub fn new(s_h: usize, s_u: usize, probe_width: usize) -> Self {
         let s_h = s_h.max(16).next_power_of_two();
         let s_u = s_u.max(1);
         let slot = |n: usize| (0..n).map(|_| SimAtomicU64::new(SLOT_EMPTY)).collect::<Vec<_>>();
@@ -120,20 +122,8 @@ impl TableLog {
             read_mark: mark(s_h),
             write_mark: mark(s_h),
             accesses: AtomicU64::new(0),
-            ballot: None,
+            probe_width: probe_width.max(1),
         }
-    }
-
-    /// Switch this log to warp-cooperative (ballot) probing with the given
-    /// warp size. Returns `self` for builder-style use.
-    pub fn with_ballot_probe(mut self, warp_size: usize) -> Self {
-        self.ballot = (warp_size > 1).then_some(warp_size);
-        self
-    }
-
-    /// Whether warp-cooperative probing is active.
-    pub fn uses_ballot_probe(&self) -> bool {
-        self.ballot.is_some()
     }
 
     /// Size a log per the paper's rule. `rows` is the covered table's row
@@ -141,7 +131,8 @@ impl TableLog {
     /// distinct conflict cells the table exposes (rows × (columns + 1) at
     /// cell granularity), `est_txns` the expected transactions touching
     /// the table per batch (the paper's `T`), `est_accesses` the expected
-    /// total registrations per batch, `ws` the warp size.
+    /// total registrations per batch, `ws` the warp size (also the probe
+    /// width).
     pub fn sized_for(
         rows: usize,
         cells: usize,
@@ -159,7 +150,7 @@ impl TableLog {
         };
         // Enough buckets for every distinct accessed cell at ≤ 25 % load.
         let s_h = (4 * est_accesses.min(cells).max(32)).next_power_of_two();
-        TableLog::new(s_h, s_u)
+        TableLog::new(s_h, s_u, ws)
     }
 
     /// Slots per bucket.
@@ -170,6 +161,11 @@ impl TableLog {
     /// Bucket count.
     pub fn bucket_count(&self) -> usize {
         self.s_h
+    }
+
+    /// Buckets (or slots) one probe step inspects.
+    pub fn probe_width(&self) -> usize {
+        self.probe_width
     }
 
     /// Whether this log uses large-sized buckets.
@@ -183,6 +179,17 @@ impl TableLog {
             + (self.read_mark.len() + self.write_mark.len()) * 8) as u64
     }
 
+    /// Reset every tag, slot and summary mark to empty. Called between
+    /// batches under `&mut ConflictLog`, so no lane races these stores.
+    fn clear(&self) {
+        for s in self.tags.iter().chain(&self.reads).chain(&self.writes) {
+            s.store(SLOT_EMPTY);
+        }
+        for m in self.read_mark.iter().chain(&self.write_mark) {
+            m.store(u64::MAX, Ordering::Relaxed);
+        }
+    }
+
     /// Accesses registered since the last [`TableLog::take_accesses`].
     pub fn take_accesses(&self) -> u64 {
         self.accesses.swap(0, Ordering::Relaxed)
@@ -194,21 +201,16 @@ impl TableLog {
         let h = mix_key(key);
         let tag_val = encode(epoch, h & TID_MASK);
         let start = (h as usize) & self.mask;
+        let ws = self.probe_width;
         for i in 0..self.s_h {
             let b = (start + i) & self.mask;
-            match self.ballot {
-                // Serial probing: one cached inspection per bucket.
-                None => lane.charge_light(12.0),
-                // Cooperative probing: the warp ballots over `ws` buckets
-                // at once (`__ballot_sync` + `__popc` on the tag matches),
-                // so the inspection cost lands once per group, plus one
-                // shuffle to broadcast the winning bucket.
-                Some(ws) => {
-                    if i % ws == 0 {
-                        lane.charge_light(12.0);
-                        lane.warp_shuffle(1);
-                    }
-                }
+            // The warp ballots over `ws` buckets at once (`__ballot_sync` +
+            // `__popc` on the tag matches), so one cached inspection lands
+            // per group, plus one shuffle to broadcast the winning bucket
+            // when the group spans lanes.
+            if i % ws == 0 {
+                lane.charge_light(12.0);
+                lane.warp_shuffle(u32::from(ws > 1));
             }
             let tag = &self.tags[b];
             let mut cur = tag.load();
@@ -289,18 +291,12 @@ impl TableLog {
         if marks[bucket].load(Ordering::Acquire) != u64::from(epoch) {
             return None;
         }
-        match self.ballot {
-            // Scanning the bucket is a streaming read of s_u contiguous
-            // words, one lane walking them serially.
-            None => lane.charge_light(4.0 * self.s_u as f64),
-            // Cooperative scan: the warp strides the bucket `ws` slots per
-            // step, then folds the per-lane minima with a log₂(ws)
-            // shuffle-XOR tree reduction.
-            Some(ws) => {
-                lane.charge_light(4.0 * (self.s_u as f64 / ws as f64).ceil());
-                lane.warp_shuffle((ws as u32).max(2).ilog2());
-            }
-        }
+        // Scanning the bucket is a streaming read of s_u contiguous words:
+        // the warp strides it `ws` slots per step, then folds the per-lane
+        // minima with a log₂(ws) shuffle-XOR tree reduction.
+        let ws = self.probe_width;
+        lane.charge_light(4.0 * (self.s_u as f64 / ws as f64).ceil());
+        lane.warp_shuffle(ws.ilog2());
         let base = bucket * self.s_u;
         slots[base..base + self.s_u].iter().filter_map(|s| decode(s.load(), epoch)).min()
     }
@@ -346,9 +342,6 @@ pub struct ConflictLog {
     epoch: u32,
     warp_size: usize,
     dynamic: bool,
-    /// `Some(ws)` = build every constituent log (and every popularity
-    /// rebuild) with warp-cooperative probing.
-    ballot_ws: Option<usize>,
     est_per_table: Vec<usize>,
     rows_per_table: Vec<usize>,
     popular_hint: Vec<bool>,
@@ -365,11 +358,6 @@ impl ConflictLog {
     /// Build logs for every table of `db` per `cfg`.
     pub fn new(db: &Database, cfg: &LtpgConfig) -> Self {
         let warp_size = cfg.device.warp_size as usize;
-        let ballot_ws = cfg.hotpath.warp_probe.then_some(warp_size);
-        let probe = |log: TableLog| match ballot_ws {
-            Some(ws) => log.with_ballot_probe(ws),
-            None => log,
-        };
         let est_txns = cfg.max_batch;
         let est = cfg.max_batch * cfg.est_accesses_per_txn;
         let mut row_logs = Vec::new();
@@ -380,7 +368,7 @@ impl ConflictLog {
             let rows = table.capacity();
             let cells = rows.saturating_mul(table.width() + 1);
             let hint = cfg.premarked_popular.contains(&id);
-            row_logs.push(probe(TableLog::sized_for(
+            row_logs.push(TableLog::sized_for(
                 rows,
                 cells,
                 est_txns,
@@ -388,7 +376,7 @@ impl ConflictLog {
                 warp_size,
                 cfg.opts.dynamic_buckets,
                 hint,
-            )));
+            ));
             est_per_table.push(est);
             rows_per_table.push(rows);
             popular_hint.push(hint);
@@ -403,7 +391,7 @@ impl ConflictLog {
                 (
                     (t, c),
                     // A split log covers exactly one column: cells = rows.
-                    probe(TableLog::sized_for(
+                    TableLog::sized_for(
                         rows,
                         rows,
                         est_txns,
@@ -411,19 +399,20 @@ impl ConflictLog {
                         warp_size,
                         cfg.opts.dynamic_buckets,
                         hint,
-                    )),
+                    ),
                 )
             })
             .collect();
         let membership_logs = db
             .iter()
-            .map(|_| probe(TableLog::new(2_048, if cfg.opts.dynamic_buckets { 512 } else { 1 })))
+            .map(|_| {
+                TableLog::new(2_048, if cfg.opts.dynamic_buckets { 512 } else { 1 }, warp_size)
+            })
             .collect();
         ConflictLog {
             epoch: 0,
             warp_size,
             dynamic: cfg.opts.dynamic_buckets,
-            ballot_ws,
             est_per_table,
             rows_per_table,
             popular_hint,
@@ -431,42 +420,6 @@ impl ConflictLog {
             split_logs,
             membership_logs,
         }
-    }
-
-    /// Register a membership-predicate write (insert/delete of a key in
-    /// `partition`) for `table`.
-    #[must_use]
-    pub fn register_membership_write(
-        &self,
-        lane: &mut Lane<'_>,
-        table: TableId,
-        partition: i64,
-        tid: u64,
-    ) -> bool {
-        self.membership_logs[usize::from(table.0)].register_write(lane, partition, tid, self.epoch)
-    }
-
-    /// Register a membership-predicate read (ordered scan over
-    /// `partition`) for `table`.
-    #[must_use]
-    pub fn register_membership_read(
-        &self,
-        lane: &mut Lane<'_>,
-        table: TableId,
-        partition: i64,
-        tid: u64,
-    ) -> bool {
-        self.membership_logs[usize::from(table.0)].register_read(lane, partition, tid, self.epoch)
-    }
-
-    /// Minimum TID that wrote `table`'s membership `partition` this batch.
-    pub fn min_membership_write(&self, lane: &mut Lane<'_>, table: TableId, partition: i64) -> Option<u64> {
-        self.membership_logs[usize::from(table.0)].min_write(lane, partition, self.epoch)
-    }
-
-    /// Minimum TID that read `table`'s membership `partition` this batch.
-    pub fn min_membership_read(&self, lane: &mut Lane<'_>, table: TableId, partition: i64) -> Option<u64> {
-        self.membership_logs[usize::from(table.0)].min_read(lane, partition, self.epoch)
     }
 
     /// Current batch epoch.
@@ -478,9 +431,19 @@ impl ConflictLog {
     /// adaptation — a table whose observed `E = T/D` crossed 1 is rebuilt
     /// with large buckets (and vice versa), the paper's "identify such
     /// tables in real-time".
+    ///
+    /// When the epoch space runs out (after 2²⁴ − 3 batches) every log is
+    /// wiped to empty and numbering restarts at 1: a stale slot from a
+    /// late epoch encodes *smaller* than any slot of epoch 1, so without
+    /// the wipe it would win the `atomicMin` and hide a registration.
     pub fn begin_batch(&mut self) {
+        if self.epoch >= LAST_EPOCH {
+            for log in self.logs() {
+                log.clear();
+            }
+            self.epoch = 0;
+        }
         self.epoch += 1;
-        assert!(u64::from(self.epoch) < EPOCH_CEIL - 1, "epoch space exhausted");
         if !self.dynamic {
             return;
         }
@@ -493,7 +456,7 @@ impl ConflictLog {
             let e = observed as f64 / self.rows_per_table[i].max(1) as f64;
             let want_large = e > 1.0 || self.popular_hint[i];
             if want_large != log.is_large() {
-                let rebuilt = TableLog::sized_for(
+                *log = TableLog::sized_for(
                     self.rows_per_table[i],
                     self.rows_per_table[i].saturating_mul(8),
                     observed,
@@ -502,11 +465,6 @@ impl ConflictLog {
                     true,
                     self.popular_hint[i],
                 );
-                // A popularity rebuild must keep the probing mode.
-                *log = match self.ballot_ws {
-                    Some(ws) => rebuilt.with_ballot_probe(ws),
-                    None => rebuilt,
-                };
             }
         }
     }
@@ -522,28 +480,56 @@ impl ConflictLog {
         &self.row_logs[usize::from(table.0)]
     }
 
-    /// Register a read of `(table, col, key)` by `tid`. `false` = log
-    /// exhausted, abort the transaction.
+    /// The log `access` registers in and its key there.
+    fn locate(&self, access: &CellAccess) -> (&TableLog, i64) {
+        match access.cell {
+            LogCell::Row { col, key, .. } => (self.route(access.table, col), key),
+            LogCell::Membership { partition } => {
+                (&self.membership_logs[usize::from(access.table.0)], partition)
+            }
+        }
+    }
+
+    /// Register `access` by `tid` (a read-modify-write registers as both
+    /// reader and writer). `false` = log exhausted, abort the transaction.
     #[must_use]
-    pub fn register_read(&self, lane: &mut Lane<'_>, table: TableId, col: Option<ColId>, key: i64, tid: u64) -> bool {
-        self.route(table, col).register_read(lane, key, tid, self.epoch)
+    pub fn register(&self, lane: &mut Lane<'_>, access: &CellAccess, tid: u64) -> bool {
+        let (log, key) = self.locate(access);
+        match access.kind {
+            AccessKind::Read => log.register_read(lane, key, tid, self.epoch),
+            AccessKind::Write => log.register_write(lane, key, tid, self.epoch),
+            AccessKind::Rmw => {
+                log.register_read(lane, key, tid, self.epoch)
+                    & log.register_write(lane, key, tid, self.epoch)
+            }
+        }
     }
 
-    /// Register a write of `(table, col, key)` by `tid`. `false` = log
-    /// exhausted, abort the transaction.
-    #[must_use]
-    pub fn register_write(&self, lane: &mut Lane<'_>, table: TableId, col: Option<ColId>, key: i64, tid: u64) -> bool {
-        self.route(table, col).register_write(lane, key, tid, self.epoch)
+    /// Minimum read TID recorded this batch against the cell of `access`.
+    pub fn min_read(&self, lane: &mut Lane<'_>, access: &CellAccess) -> Option<u64> {
+        let (log, key) = self.locate(access);
+        log.min_read(lane, key, self.epoch)
     }
 
-    /// Minimum read TID recorded against `(table, col, key)`.
-    pub fn min_read(&self, lane: &mut Lane<'_>, table: TableId, col: Option<ColId>, key: i64) -> Option<u64> {
-        self.route(table, col).min_read(lane, key, self.epoch)
+    /// Minimum write TID recorded this batch against the cell of `access`.
+    pub fn min_write(&self, lane: &mut Lane<'_>, access: &CellAccess) -> Option<u64> {
+        let (log, key) = self.locate(access);
+        log.min_write(lane, key, self.epoch)
     }
 
-    /// Minimum write TID recorded against `(table, col, key)`.
-    pub fn min_write(&self, lane: &mut Lane<'_>, table: TableId, col: Option<ColId>, key: i64) -> Option<u64> {
-        self.route(table, col).min_write(lane, key, self.epoch)
+    /// Jump the epoch counter so that only `batches` more batches run
+    /// before the wrap.
+    #[cfg(test)]
+    pub(crate) fn skip_to_last_epochs(&mut self, batches: u32) {
+        self.epoch = LAST_EPOCH - batches;
+    }
+
+    /// Every constituent log.
+    fn logs(&self) -> impl Iterator<Item = &TableLog> {
+        self.row_logs
+            .iter()
+            .chain(self.split_logs.iter().map(|(_, log)| log))
+            .chain(&self.membership_logs)
     }
 
     /// Memory occupancy report (paper Table VIII).
@@ -601,7 +587,7 @@ mod tests {
 
     #[test]
     fn register_and_min_roundtrip() {
-        let log = TableLog::new(64, 1);
+        let log = TableLog::new(64, 1, 1);
         on_lane(|lane| {
             let _ = log.register_read(lane, 42, 7, 1);
             let _ = log.register_read(lane, 42, 3, 1);
@@ -615,7 +601,7 @@ mod tests {
 
     #[test]
     fn epoch_bump_is_an_implicit_reset() {
-        let log = TableLog::new(64, 4);
+        let log = TableLog::new(64, 4, 1);
         on_lane(|lane| {
             let _ = log.register_write(lane, 5, 100, 1);
             assert_eq!(log.min_write(lane, 5, 1), Some(100));
@@ -628,7 +614,7 @@ mod tests {
 
     #[test]
     fn large_bucket_spreads_tids_across_slots() {
-        let log = TableLog::new(16, 8);
+        let log = TableLog::new(16, 8, 1);
         on_lane(|lane| {
             for tid in 1..=20u64 {
                 let _ = log.register_write(lane, 7, tid, 3);
@@ -639,7 +625,7 @@ mod tests {
 
     #[test]
     fn colliding_keys_probe_to_distinct_buckets() {
-        let log = TableLog::new(16, 1);
+        let log = TableLog::new(16, 1, 1);
         on_lane(|lane| {
             // More keys than buckets would fail; use enough distinct keys
             // to force probing while staying under s_h.
@@ -677,7 +663,7 @@ mod tests {
         let items: Vec<u64> = (1..=4_096).collect();
         let run = |threads: usize| {
             let device = Device::new(DeviceConfig::parallel(threads));
-            let log = TableLog::new(1 << 13, 32);
+            let log = TableLog::new(1 << 13, 32, 1);
             device.launch("reg", &items, |lane, &tid| {
                 let _ = log.register_write(lane, (tid % 64) as i64, tid, 1);
             });
@@ -698,7 +684,7 @@ mod tests {
 
     #[test]
     fn take_accesses_resets_on_read() {
-        let log = TableLog::new(64, 1);
+        let log = TableLog::new(64, 1, 1);
         on_lane(|lane| {
             let _ = log.register_read(lane, 1, 1, 1);
             let _ = log.register_write(lane, 2, 1, 1);
@@ -726,7 +712,7 @@ mod tests {
             let device = Device::new(DeviceConfig::default());
             device.launch_indexed("probe", 1, f).sim_ns
         };
-        let log = TableLog::new(64, 1);
+        let log = TableLog::new(64, 1, 1);
         let baseline = cycles_for(&|_lane| {});
         let miss = cycles_for(&|lane: &mut Lane<'_>| {
             assert_eq!(log.min_read(lane, 10, 1), None);
@@ -739,16 +725,13 @@ mod tests {
 
     #[test]
     fn ballot_probe_is_cheaper_and_decision_identical() {
-        // Warp-cooperative probing is a timing-only change: the same
-        // registrations produce the same minima, but the detect-side scan
-        // of a large bucket charges far fewer cycles.
+        // The probe width is timing-only: the same registrations produce
+        // the same minima, but the detect-side scan of a large bucket
+        // charges far fewer cycles at warp width than serially.
         let items: Vec<u64> = (1..=2_048).collect();
-        let run = |ballot: bool| {
+        let run = |probe_width: usize| {
             let device = Device::new(DeviceConfig::default());
-            let mut log = TableLog::new(64, 512);
-            if ballot {
-                log = log.with_ballot_probe(32);
-            }
+            let log = TableLog::new(64, 512, probe_width);
             device.launch("mark", &items, |lane, &tid| {
                 let _ = log.register_write(lane, (tid % 8) as i64, tid, 1);
             });
@@ -761,8 +744,8 @@ mod tests {
             mins.sort_unstable();
             (mins, read.sim_ns)
         };
-        let (serial_mins, serial_ns) = run(false);
-        let (ballot_mins, ballot_ns) = run(true);
+        let (serial_mins, serial_ns) = run(1);
+        let (ballot_mins, ballot_ns) = run(32);
         assert_eq!(serial_mins, ballot_mins, "probing mode must not change any minimum");
         assert!(
             ballot_ns < serial_ns,
@@ -776,22 +759,63 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableBuilder::new("H").columns(["a"]).capacity(8).build());
         let cfg = LtpgConfig { max_batch: 1 << 12, ..LtpgConfig::default() };
-        assert!(cfg.hotpath.warp_probe);
         let mut log = ConflictLog::new(&db, &cfg);
-        assert!(log.route(t, None).uses_ballot_probe());
+        assert_eq!(log.route(t, None).probe_width(), 32);
         // The 8-row table starts large (E = 4096/8 ≫ 1). Observe only a
         // handful of accesses so E drops below 1 and the next begin_batch
-        // rebuilds it standard-sized — the rebuild must keep the probing
-        // mode.
+        // rebuilds it standard-sized — the rebuild must keep the probe
+        // width.
         let device = Device::new(DeviceConfig::default());
         log.begin_batch();
         assert!(log.route(t, None).is_large());
         device.launch_indexed("trickle", 4, |lane| {
-            let _ = log.register_write(lane, t, None, 1, lane.global_id as u64 + 1);
+            let _ = log.register(lane, &row_write(t, 1), lane.global_id as u64 + 1);
         });
         log.begin_batch();
         assert!(!log.route(t, None).is_large(), "E < 1 must rebuild standard-sized");
-        assert!(log.route(t, None).uses_ballot_probe(), "rebuild dropped ballot probing");
+        assert_eq!(log.route(t, None).probe_width(), 32, "rebuild dropped the probe width");
+    }
+
+    /// A write of the existence cell of row `key`.
+    fn row_write(table: TableId, key: i64) -> CellAccess {
+        CellAccess {
+            table,
+            row: key,
+            cell: LogCell::Row { col: None, key: crate::engine::cell_key(key, None) },
+            kind: AccessKind::Write,
+        }
+    }
+
+    #[test]
+    fn epoch_wrap_wipes_stale_slots() {
+        use ltpg_storage::TableBuilder;
+        let mut db = Database::new();
+        let t = db.add_table(TableBuilder::new("T").columns(["a"]).capacity(64).build());
+        // Standard-sized buckets: every TID of a key lands in one slot.
+        let mut cfg = LtpgConfig::default();
+        cfg.opts.dynamic_buckets = false;
+        let mut log = ConflictLog::new(&db, &cfg);
+        let device = Device::new(DeviceConfig::default());
+        let w = row_write(t, 5);
+        let register = |log: &ConflictLog, tid: u64| {
+            device.launch_indexed("reg", 1, |lane| assert!(log.register(lane, &w, tid)));
+        };
+        let min = |log: &ConflictLog| {
+            let out = parking_lot::Mutex::new(None);
+            device.launch_indexed("min", 1, |lane| *out.lock() = log.min_write(lane, &w));
+            out.into_inner()
+        };
+        log.epoch = LAST_EPOCH - 1;
+        log.begin_batch();
+        assert_eq!(log.epoch(), LAST_EPOCH);
+        register(&log, 3);
+        // The last epoch's slot encodes below every epoch-1 value: without
+        // the wipe it would win the atomicMin and hide TID 9.
+        log.begin_batch();
+        assert_eq!(log.epoch(), 1, "numbering restarts at 1");
+        assert_eq!(min(&log), None, "the wrap must leave no record behind");
+        register(&log, 9);
+        assert_eq!(min(&log), Some(9));
     }
 
     #[test]
@@ -799,7 +823,7 @@ mod tests {
         let items: Vec<u64> = (1..=2_048).collect();
         let run = |s_u: usize| {
             let device = Device::new(DeviceConfig::default());
-            let log = TableLog::new(64, s_u);
+            let log = TableLog::new(64, s_u, 1);
             let r = device.launch("hot", &items, |lane, &tid| {
                 let _ = log.register_write(lane, 1, tid, 1);
             });

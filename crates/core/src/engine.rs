@@ -176,134 +176,140 @@ pub fn stage_effects(
     Staged { normal, delayed, forced }
 }
 
-/// One conflict-log access of a transaction: the unit both registration
-/// and conflict detection operate over. [`cell_accesses`] enumerates them
-/// in a canonical order shared by the engine's detect-item builder and
-/// [`crate::CpuTwin`], so every executor probes exactly the same cells.
-pub enum CellAccess {
-    /// Snapshot read of one cell.
-    Read {
-        /// Table of the row read.
-        table: TableId,
-        /// Row key (pre-encoding; ownership checks use this).
-        row: i64,
-        /// Column read; `None` is the row-existence pseudo-cell.
+/// Where a [`CellAccess`] lands in its table's conflict log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum LogCell {
+    /// One cell of a table row.
+    Row {
+        /// Column; `None` is the row-existence pseudo-cell.
         col: Option<ColId>,
-        /// Encoded conflict-log cell key.
-        cell: i64,
+        /// Encoded conflict-log cell key ([`cell_key`]).
+        key: i64,
     },
-    /// Membership (phantom-guard) read of a key partition.
-    MembershipRead {
-        /// Table whose membership was observed.
-        table: TableId,
-        /// Key partition observed.
-        partition: i64,
-    },
-    /// Buffered write of one cell.
-    Write {
-        /// Table of the row written.
-        table: TableId,
-        /// Row key (pre-encoding).
-        row: i64,
-        /// Column written; `None` is the row-existence pseudo-cell.
-        col: Option<ColId>,
-        /// Encoded conflict-log cell key.
-        cell: i64,
-        /// Whether detection checks WAW for this cell (membership-marker
-        /// writes commute and check only WAR).
-        check_waw: bool,
-    },
-    /// Non-commutative read-modify-write: registers as both reader and
-    /// writer of the cell; detection is the write check alone.
-    Rmw {
-        /// Table of the row.
-        table: TableId,
-        /// Row key (pre-encoding).
-        row: i64,
-        /// Column modified.
-        col: Option<ColId>,
-        /// Encoded conflict-log cell key.
-        cell: i64,
-    },
-    /// Membership (phantom-guard) write of a key partition.
-    MembershipWrite {
-        /// Table whose membership changes.
-        table: TableId,
-        /// Key partition written.
+    /// The membership (phantom-guard) marker of one key partition.
+    Membership {
+        /// Key partition.
         partition: i64,
     },
 }
 
-/// Enumerate the conflict-log accesses of one transaction, given its
-/// recorded reads and staged non-commutative mutations: reads first (in
-/// recording order), then per-mutation write cells (existence + membership
-/// + all columns for deletes). `db` supplies table widths for deletes.
-pub fn cell_accesses(db: &Database, fx: &TxnEffects, normal: &[Mutation]) -> Vec<CellAccess> {
-    let mut out = Vec::with_capacity(fx.reads.len() + normal.len());
+/// How a [`CellAccess`] touches its cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccessKind {
+    /// Registers as a reader; detection checks RAW.
+    Read,
+    /// Registers as a writer; detection checks WAR, and WAW on row cells
+    /// (membership-marker writes commute with each other).
+    Write,
+    /// Non-commutative read-modify-write: registers as both reader and
+    /// writer; detection is the write check alone.
+    Rmw,
+}
+
+/// One conflict-log access of a transaction: the unit registration and
+/// conflict detection both operate over. [`for_each_cell_access`] visits
+/// them in the one canonical order that the engine's execute lane and
+/// [`crate::CpuTwin`] share, so every executor probes exactly the same
+/// cells.
+#[derive(Debug, Clone, Copy)]
+pub struct CellAccess {
+    /// Table accessed.
+    pub table: TableId,
+    /// Row key (pre-encoding) of a row cell, the partition of a membership
+    /// marker: the key ownership is decided on.
+    pub row: i64,
+    /// Cell within the table's conflict log.
+    pub cell: LogCell,
+    /// Read, write or read-modify-write.
+    pub kind: AccessKind,
+}
+
+impl CellAccess {
+    /// Whether detection treats this access as a write (WAR/WAW checks).
+    pub fn is_write(&self) -> bool {
+        self.kind != AccessKind::Read
+    }
+
+    /// Whether `scope` owns this access (every access is owned unscoped).
+    pub fn owned_by(&self, scope: Option<&ExecScope<'_>>) -> bool {
+        scope.is_none_or(|s| match self.cell {
+            LogCell::Row { .. } => (s.owns_row)(self.table, self.row),
+            LogCell::Membership { .. } => (s.owns_membership)(self.table, self.row),
+        })
+    }
+
+    /// The detection rule for this access by transaction `tid`: a write
+    /// raises WAW over an earlier writer (row cells only) and WAR over an
+    /// earlier reader; a read raises RAW over an earlier writer. `min`
+    /// probes the cell's minimum writer (`true`) or reader (`false`) TID,
+    /// called in the order the device kernel charges the probes.
+    pub fn conflict_flags(&self, tid: u64, mut min: impl FnMut(bool) -> Option<u64>) -> u32 {
+        let mut earlier = |writer: bool| min(writer).is_some_and(|m| m < tid);
+        if !self.is_write() {
+            return if earlier(true) { flag::RAW } else { 0 };
+        }
+        let mut f = 0;
+        if matches!(self.cell, LogCell::Row { .. }) && earlier(true) {
+            f |= flag::WAW;
+        }
+        if earlier(false) {
+            f |= flag::WAR;
+        }
+        f
+    }
+}
+
+/// Visit the conflict-log accesses of one transaction, given its recorded
+/// reads and staged non-commutative mutations: reads first (in recording
+/// order), then per-mutation write cells (existence, membership, then all
+/// columns for deletes). `db` supplies table widths for deletes. This walk
+/// is the only enumeration of a transaction's cell set.
+pub fn for_each_cell_access(
+    db: &Database,
+    fx: &TxnEffects,
+    normal: &[Mutation],
+    mut visit: impl FnMut(CellAccess),
+) {
+    let row = |table: TableId, row: i64, col: Option<ColId>, kind: AccessKind| CellAccess {
+        table,
+        row,
+        cell: LogCell::Row { col, key: cell_key(row, col) },
+        kind,
+    };
+    let membership = |table: TableId, partition: i64, kind: AccessKind| CellAccess {
+        table,
+        row: partition,
+        cell: LogCell::Membership { partition },
+        kind,
+    };
     for r in &fx.reads {
         match membership_partition(r.key) {
-            Some(p) => out.push(CellAccess::MembershipRead { table: r.table, partition: p }),
-            None => out.push(CellAccess::Read {
-                table: r.table,
-                row: r.key,
-                col: r.col,
-                cell: cell_key(r.key, r.col),
-            }),
+            Some(p) => visit(membership(r.table, p, AccessKind::Read)),
+            None => visit(row(r.table, r.key, r.col, AccessKind::Read)),
         }
     }
     for m in normal {
-        match m {
-            Mutation::Update { table, key, col, .. } => out.push(CellAccess::Write {
-                table: *table,
-                row: *key,
-                col: Some(*col),
-                cell: cell_key(*key, Some(*col)),
-                check_waw: true,
-            }),
-            Mutation::Add { table, key, col, .. } => out.push(CellAccess::Rmw {
-                table: *table,
-                row: *key,
-                col: Some(*col),
-                cell: cell_key(*key, Some(*col)),
-            }),
-            Mutation::Insert { table, key, .. } => {
-                out.push(CellAccess::Write {
-                    table: *table,
-                    row: *key,
-                    col: None,
-                    cell: cell_key(*key, None),
-                    check_waw: true,
-                });
-                out.push(CellAccess::MembershipWrite {
-                    table: *table,
-                    partition: *key >> MEMBERSHIP_PARTITION_SHIFT,
-                });
+        match *m {
+            Mutation::Update { table, key, col, .. } => {
+                visit(row(table, key, Some(col), AccessKind::Write));
             }
-            Mutation::Delete { table, key } => {
-                out.push(CellAccess::Write {
-                    table: *table,
-                    row: *key,
-                    col: None,
-                    cell: cell_key(*key, None),
-                    check_waw: true,
-                });
-                out.push(CellAccess::MembershipWrite {
-                    table: *table,
-                    partition: *key >> MEMBERSHIP_PARTITION_SHIFT,
-                });
-                for c in 0..db.table(*table).width() as u16 {
-                    out.push(CellAccess::Write {
-                        table: *table,
-                        row: *key,
-                        col: Some(ColId(c)),
-                        cell: cell_key(*key, Some(ColId(c))),
-                        check_waw: true,
-                    });
+            Mutation::Add { table, key, col, .. } => {
+                visit(row(table, key, Some(col), AccessKind::Rmw));
+            }
+            Mutation::Insert { table, key, .. } | Mutation::Delete { table, key } => {
+                visit(row(table, key, None, AccessKind::Write));
+                let p = key >> MEMBERSHIP_PARTITION_SHIFT;
+                visit(membership(table, p, AccessKind::Write));
+                if matches!(m, Mutation::Delete { .. }) {
+                    // A delete writes every column cell too: readers of
+                    // any cell must order before it.
+                    for c in 0..db.table(table).width() as u16 {
+                        visit(row(table, key, Some(ColId(c)), AccessKind::Write));
+                    }
                 }
             }
         }
     }
-    out
 }
 
 /// Restricts an engine to the slice of a partitioned database it owns.
@@ -376,18 +382,11 @@ struct ExecOutcome {
     effects: TxnEffects,
 }
 
-/// One conflict-detection work item.
+/// One conflict-detection work item: an owned, registered access of
+/// transaction `txn` (batch position).
 struct DetectItem {
     txn: u32,
-    table: TableId,
-    col: Option<ColId>,
-    key: i64,
-    is_write: bool,
-    /// Membership-marker writes (inserts/deletes) commute with each other:
-    /// they check WAR (a scanner saw the old membership) but not WAW.
-    check_waw: bool,
-    /// `Some(partition)` routes this item to the table's membership log.
-    membership: Option<i64>,
+    access: CellAccess,
 }
 
 /// Per-batch state carried from [`LtpgEngine::try_prepare_batch`] to
@@ -402,8 +401,7 @@ pub struct PreparedBatch {
     flags: Vec<SimAtomicU32>,
     /// Dense TID array (structure-of-arrays layout): `tids[i]` mirrors
     /// `batch.txns[i].tid.0` so the detect kernel reads TIDs coalesced
-    /// instead of gathering through the AoS transaction records. Empty
-    /// when [`crate::HotpathOpts::soa_layout`] is off.
+    /// instead of gathering through the transaction records.
     tids: Vec<u64>,
     detect_items: u64,
     stats: LtpgBatchStats,
@@ -442,14 +440,12 @@ impl PreparedBatch {
     }
 }
 
-/// Reusable per-batch buffers held by the engine across batches — the
-/// arena/slab pass. Host-side, the buffers are always recycled (finish
-/// hands them back, prepare resets them in place), so steady-state batches
-/// add zero net heap growth. The simulated-time side is governed by
-/// [`crate::HotpathOpts::arena_reuse`]: with it off the engine charges
-/// [`ltpg_gpu_sim::CostModel::device_alloc_ns`] for every per-batch device
-/// buffer (the pre-optimization engine's cudaMalloc-per-batch behaviour);
-/// with it on, only a high-watermark growth charges.
+/// Reusable per-batch buffers held by the engine across batches (the
+/// arena). Host-side, finish hands the buffers back and prepare resets
+/// them in place, so steady-state batches add zero net heap growth. On the
+/// simulated clock only a high-watermark growth charges
+/// [`ltpg_gpu_sim::CostModel::device_alloc_ns`] per device buffer, so
+/// steady-state batches charge no allocation time.
 #[derive(Default)]
 struct EngineScratch {
     flags: Vec<SimAtomicU32>,
@@ -659,18 +655,9 @@ impl LtpgEngine {
         let wall_start = Instant::now();
         let mut stats = LtpgBatchStats::default();
         let n = batch.len();
-        let owns_row = |t: TableId, k: i64| match scope {
-            None => true,
-            Some(s) => (s.owns_row)(t, k),
-        };
-        let owns_mem = |t: TableId, p: i64| match scope {
-            None => true,
-            Some(s) => (s.owns_membership)(t, p),
-        };
         let scoped_store = scope
             .and_then(|s| s.remote)
             .map(|remote| ScopedStore { local: &self.db, remote });
-        let hot = self.cfg.hotpath;
         self.log.begin_batch();
 
         // ---- Upload: transaction parameters to the device. ----
@@ -699,14 +686,9 @@ impl LtpgEngine {
         }
         let mut tids = std::mem::take(&mut self.scratch.tids);
         tids.clear();
-        if hot.soa_layout {
-            tids.extend(batch.txns.iter().map(|t| t.tid.0));
-        }
-        // With single-scan detection, each execute lane emits its detect
-        // items as it registers — the post-execute rebuild walk (a second
-        // full scan of every access set) disappears.
-        let lane_items: SlotVec<Vec<DetectItem>> =
-            SlotVec::new(if hot.single_scan_detect { n } else { 0 });
+        tids.extend(batch.txns.iter().map(|t| t.tid.0));
+        // Each execute lane emits its detect items as it registers them.
+        let lane_items: SlotVec<Vec<DetectItem>> = SlotVec::new(n);
 
         let lane_proc_overhead = self.device.cost().proc_overhead_cycles;
         self.device.check_alive()?;
@@ -729,7 +711,6 @@ impl LtpgEngine {
                     });
                 }
                 Ok(fx) => {
-                    let tid = txn.tid.0;
                     let Staged { normal, delayed, forced } =
                         stage_effects(&self.cfg, &self.commutative_tables, &fx);
                     for _ in &delayed {
@@ -745,211 +726,36 @@ impl LtpgEngine {
                         });
                         return;
                     }
-                    // Register TIDs in the conflict log (recordTID), and
-                    // charge the local-set writes (recordLS) and snapshot
-                    // reads (readMem). A `false` return means the log ran
-                    // out of buckets — force-abort this transaction (the
-                    // TIDs already registered only ever *add* conflicts,
-                    // so partial registration is sound).
-                    //
-                    // With single-scan detection on, the lane also emits
-                    // its detect work items here, in the same order the
-                    // canonical `cell_accesses` walk enumerates them — the
-                    // dense item array is the local set laid out linearly,
-                    // so emission rides the recordLS writes already charged.
-                    let mut local_items: Option<Vec<DetectItem>> =
-                        hot.single_scan_detect.then(Vec::new);
-                    let mut registered = true;
-                    for r in &fx.reads {
+                    // Charge the snapshot reads (readMem) and local-set
+                    // writes (recordLS), then register TIDs in the conflict
+                    // log (recordTID) and emit the detect work items in the
+                    // same canonical walk — the dense item array is the
+                    // local set laid out linearly, so emission rides the
+                    // recordLS writes already charged. A `false`
+                    // registration means the log ran out of buckets:
+                    // force-abort this transaction and keep its items out
+                    // of the detect kernel (the TIDs already registered
+                    // only ever *add* conflicts, so partial registration
+                    // is sound).
+                    for _ in &fx.reads {
                         lane.read_global_random(2);
                         lane.write_global(1);
-                        if let Some(p) = membership_partition(r.key) {
-                            if owns_mem(r.table, p) {
-                                registered &=
-                                    self.log.register_membership_read(lane, r.table, p, tid);
-                                if let Some(it) = local_items.as_mut() {
-                                    it.push(DetectItem {
-                                        txn: idx as u32,
-                                        table: r.table,
-                                        col: None,
-                                        key: 0,
-                                        is_write: false,
-                                        check_waw: false,
-                                        membership: Some(p),
-                                    });
-                                }
-                            }
-                        } else if owns_row(r.table, r.key) {
-                            let ck = cell_key(r.key, r.col);
-                            registered &= self.log.register_read(lane, r.table, r.col, ck, tid);
-                            if let Some(it) = local_items.as_mut() {
-                                it.push(DetectItem {
-                                    txn: idx as u32,
-                                    table: r.table,
-                                    col: r.col,
-                                    key: ck,
-                                    is_write: false,
-                                    check_waw: false,
-                                    membership: None,
-                                });
-                            }
-                        }
                     }
-                    for m in &normal {
+                    for _ in &normal {
                         lane.write_global(2);
-                        match m {
-                            Mutation::Update { table, key, col, .. } => {
-                                if owns_row(*table, *key) {
-                                    let ck = cell_key(*key, Some(*col));
-                                    registered &= self.log.register_write(
-                                        lane, *table, Some(*col), ck, tid,
-                                    );
-                                    if let Some(it) = local_items.as_mut() {
-                                        it.push(DetectItem {
-                                            txn: idx as u32,
-                                            table: *table,
-                                            col: Some(*col),
-                                            key: ck,
-                                            is_write: true,
-                                            check_waw: true,
-                                            membership: None,
-                                        });
-                                    }
-                                }
-                            }
-                            Mutation::Add { table, key, col, .. } => {
-                                // Non-commutative RMW: reader and writer.
-                                let ck = cell_key(*key, Some(*col));
-                                if owns_row(*table, *key) {
-                                    registered &= self.log.register_read(lane, *table, Some(*col), ck, tid);
-                                    registered &= self.log.register_write(lane, *table, Some(*col), ck, tid);
-                                    if let Some(it) = local_items.as_mut() {
-                                        it.push(DetectItem {
-                                            txn: idx as u32,
-                                            table: *table,
-                                            col: Some(*col),
-                                            key: ck,
-                                            is_write: true,
-                                            check_waw: true,
-                                            membership: None,
-                                        });
-                                    }
-                                }
-                            }
-                            Mutation::Insert { table, key, .. } => {
-                                let or = owns_row(*table, *key);
-                                let om = owns_mem(*table, *key >> MEMBERSHIP_PARTITION_SHIFT);
-                                if or {
-                                    registered &= self.log.register_write(
-                                        lane, *table, None, cell_key(*key, None), tid,
-                                    );
-                                }
-                                // Membership changed: ordered scanners of
-                                // this key partition must see it (phantom
-                                // guard).
-                                if om {
-                                    registered &= self.log.register_membership_write(
-                                        lane, *table, *key >> MEMBERSHIP_PARTITION_SHIFT, tid,
-                                    );
-                                }
-                                if let Some(it) = local_items.as_mut() {
-                                    if or {
-                                        it.push(DetectItem {
-                                            txn: idx as u32,
-                                            table: *table,
-                                            col: None,
-                                            key: cell_key(*key, None),
-                                            is_write: true,
-                                            check_waw: true,
-                                            membership: None,
-                                        });
-                                    }
-                                    if om {
-                                        it.push(DetectItem {
-                                            txn: idx as u32,
-                                            table: *table,
-                                            col: None,
-                                            key: 0,
-                                            is_write: true,
-                                            check_waw: false,
-                                            membership: Some(*key >> MEMBERSHIP_PARTITION_SHIFT),
-                                        });
-                                    }
-                                }
-                            }
-                            Mutation::Delete { table, key } => {
-                                // A delete writes the existence cell and
-                                // every column cell (readers of any cell
-                                // must order before it).
-                                let or = owns_row(*table, *key);
-                                let om = owns_mem(*table, *key >> MEMBERSHIP_PARTITION_SHIFT);
-                                let width = self.db.table(*table).width() as u16;
-                                if or {
-                                    registered &= self.log.register_write(
-                                        lane, *table, None, cell_key(*key, None), tid,
-                                    );
-                                    for c in 0..width {
-                                        let col = ColId(c);
-                                        registered &= self.log.register_write(
-                                            lane, *table, Some(col), cell_key(*key, Some(col)), tid,
-                                        );
-                                    }
-                                }
-                                if om {
-                                    registered &= self.log.register_membership_write(
-                                        lane, *table, *key >> MEMBERSHIP_PARTITION_SHIFT, tid,
-                                    );
-                                }
-                                if let Some(it) = local_items.as_mut() {
-                                    // Canonical `cell_accesses` order:
-                                    // existence, membership, then columns.
-                                    if or {
-                                        it.push(DetectItem {
-                                            txn: idx as u32,
-                                            table: *table,
-                                            col: None,
-                                            key: cell_key(*key, None),
-                                            is_write: true,
-                                            check_waw: true,
-                                            membership: None,
-                                        });
-                                    }
-                                    if om {
-                                        it.push(DetectItem {
-                                            txn: idx as u32,
-                                            table: *table,
-                                            col: None,
-                                            key: 0,
-                                            is_write: true,
-                                            check_waw: false,
-                                            membership: Some(*key >> MEMBERSHIP_PARTITION_SHIFT),
-                                        });
-                                    }
-                                    if or {
-                                        for c in 0..width {
-                                            let col = ColId(c);
-                                            it.push(DetectItem {
-                                                txn: idx as u32,
-                                                table: *table,
-                                                col: Some(col),
-                                                key: cell_key(*key, Some(col)),
-                                                is_write: true,
-                                                check_waw: true,
-                                                membership: None,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
                     }
-                    if !registered {
-                        // Force-abort: this lane's items must not reach the
-                        // detect kernel (matching the rebuild walk, which
-                        // skips LOG_FULL lanes).
+                    let mut items = Vec::new();
+                    let mut registered = true;
+                    for_each_cell_access(&self.db, &fx, &normal, |access| {
+                        if access.owned_by(scope) {
+                            registered &= self.log.register(lane, &access, txn.tid.0);
+                            items.push(DetectItem { txn: idx as u32, access });
+                        }
+                    });
+                    if registered {
+                        lane_items.set(idx, items);
+                    } else {
                         lane.atomic_or_u32(&flags[idx], flag::LOG_FULL);
-                    } else if let Some(it) = local_items {
-                        lane_items.set(idx, it);
                     }
                     outcomes.set(idx, ExecOutcome { normal, delayed, effects: fx });
                 }
@@ -962,83 +768,51 @@ impl LtpgEngine {
         // ---- Phase 2: conflict detection. ----
         let mut items = std::mem::take(&mut self.scratch.items);
         items.clear();
-        if hot.single_scan_detect {
-            // Items were emitted inline during execute (same canonical
-            // order as the walk below); just flatten in lane index order.
-            for per in lane_items.into_inner().into_iter().flatten() {
-                items.extend(per);
-            }
-        } else {
-            self.rebuild_detect_items(&outcomes, &flags, &owns_row, &owns_mem, &mut items);
+        // Flatten the lanes' items in batch order.
+        for per in lane_items.into_inner().into_iter().flatten() {
+            items.extend(per);
         }
         if self.cfg.opts.warp_division {
             // rcheck warps and wcheck warps (Algorithm 1 lines 13–16).
-            items.sort_by_key(|i| i.is_write);
+            items.sort_by_key(|i| i.access.is_write());
         }
 
-        // ---- Simulated device-side buffer (re)allocation. ----
-        // Without arena reuse, every batch cudaMallocs its device buffers
-        // afresh (lane order, flag words, outcome slots, detect items, and
-        // the SoA TID array when enabled). With reuse, only a high-watermark
-        // growth allocates — zero events in steady state.
-        let alloc_events: u64 = if hot.arena_reuse {
-            let mut e = 0u64;
-            if n > self.scratch.wm_txns {
-                self.scratch.wm_txns = n;
-                e += 3 + u64::from(hot.soa_layout);
-            }
-            if items.len() > self.scratch.wm_items {
-                self.scratch.wm_items = items.len();
-                e += 1;
-            }
-            e
-        } else {
-            4 + u64::from(hot.soa_layout)
-        };
-        if alloc_events > 0 {
-            let ns = alloc_events as f64 * self.device.cost().device_alloc_ns;
-            stats.alloc_events += alloc_events;
-            stats.alloc_ns += ns;
-            self.device.advance(ns);
+        // ---- Simulated device-side buffer allocation. ----
+        // The engine arena keeps its device buffers (lane order, flag
+        // words, outcome slots, SoA TIDs, detect items) across batches:
+        // only a high-watermark growth allocates — zero events in steady
+        // state.
+        let mut alloc_events = 0u64;
+        if n > self.scratch.wm_txns {
+            self.scratch.wm_txns = n;
+            alloc_events += 4;
         }
+        if items.len() > self.scratch.wm_items {
+            self.scratch.wm_items = items.len();
+            alloc_events += 1;
+        }
+        self.charge_alloc(&mut stats, alloc_events);
         self.device.check_alive()?;
         let detect_report = self.device.launch("conflict_d", &items, |lane, item| {
-            lane.branch(u32::from(item.is_write));
-            // Work-item fetch: with single-scan detection the items sit in
-            // the dense array execute emitted (one coalesced word); the
-            // pre-split engine re-gathers them from the scattered
-            // per-transaction access sets.
-            if hot.single_scan_detect {
-                lane.read_global(1);
-            } else {
-                lane.read_global_random(2);
-            }
-            // TID fetch: coalesced from the SoA TID array, or gathered
-            // through the AoS transaction record.
-            let tid = if hot.soa_layout {
-                lane.read_global(1);
-                tids[item.txn as usize]
-            } else {
-                lane.read_global_random(1);
-                batch.txns[item.txn as usize].tid.0
-            };
-            let min_w = |lane: &mut _| match item.membership {
-                Some(p) => self.log.min_membership_write(lane, item.table, p),
-                None => self.log.min_write(lane, item.table, item.col, item.key),
-            };
-            let min_r = |lane: &mut _| match item.membership {
-                Some(p) => self.log.min_membership_read(lane, item.table, p),
-                None => self.log.min_read(lane, item.table, item.col, item.key),
-            };
-            if item.is_write {
-                if item.check_waw && min_w(lane).is_some_and(|m| m < tid) {
-                    lane.atomic_or_u32(&flags[item.txn as usize], flag::WAW);
+            let access = &item.access;
+            lane.branch(u32::from(access.is_write()));
+            // Work-item fetch from the dense array execute emitted, then
+            // the TID from the SoA TID array: one coalesced word each.
+            lane.read_global(1);
+            lane.read_global(1);
+            let tid = tids[item.txn as usize];
+            let f = access.conflict_flags(tid, |writer| {
+                if writer {
+                    self.log.min_write(lane, access)
+                } else {
+                    self.log.min_read(lane, access)
                 }
-                if min_r(lane).is_some_and(|m| m < tid) {
-                    lane.atomic_or_u32(&flags[item.txn as usize], flag::WAR);
+            });
+            // One atomicOr per raised bit.
+            for bit in [flag::WAW, flag::WAR, flag::RAW] {
+                if f & bit != 0 {
+                    lane.atomic_or_u32(&flags[item.txn as usize], bit);
                 }
-            } else if min_w(lane).is_some_and(|m| m < tid) {
-                lane.atomic_or_u32(&flags[item.txn as usize], flag::RAW);
             }
         });
         stats.detect_ns = detect_report.sim_ns;
@@ -1056,100 +830,6 @@ impl LtpgEngine {
         self.scratch.items = items;
 
         Ok(PreparedBatch { lane_order, outcomes, flags, tids, detect_items, stats, wall_start })
-    }
-
-    /// The pre-split double scan: re-walk every access set after execute to
-    /// build the detect work items. Kept (behind
-    /// `HotpathOpts::single_scan_detect == false`) as the reference path the
-    /// single-scan emission is measured against; both produce the same item
-    /// sequence.
-    ///
-    /// One detect item per *owned* registered access, enumerated by the
-    /// shared canonical walk so registration, detection and the sharded CPU
-    /// twin always agree on the cell set.
-    fn rebuild_detect_items(
-        &self,
-        outcomes: &SlotVec<ExecOutcome>,
-        flags: &[SimAtomicU32],
-        owns_row: &dyn Fn(TableId, i64) -> bool,
-        owns_mem: &dyn Fn(TableId, i64) -> bool,
-        items: &mut Vec<DetectItem>,
-    ) {
-        for (idx, f) in flags.iter().enumerate() {
-            let Some(out) = outcomes.peek(idx) else { continue };
-            if f.load() & (flag::USER | flag::FORCED | flag::LOG_FULL) != 0 {
-                continue;
-            }
-            for a in cell_accesses(&self.db, &out.effects, &out.normal) {
-                match a {
-                    CellAccess::Read { table, row, col, cell } => {
-                        if owns_row(table, row) {
-                            items.push(DetectItem {
-                                txn: idx as u32,
-                                table,
-                                col,
-                                key: cell,
-                                is_write: false,
-                                check_waw: false,
-                                membership: None,
-                            });
-                        }
-                    }
-                    CellAccess::MembershipRead { table, partition } => {
-                        if owns_mem(table, partition) {
-                            items.push(DetectItem {
-                                txn: idx as u32,
-                                table,
-                                col: None,
-                                key: 0,
-                                is_write: false,
-                                check_waw: false,
-                                membership: Some(partition),
-                            });
-                        }
-                    }
-                    CellAccess::Write { table, row, col, cell, check_waw } => {
-                        if owns_row(table, row) {
-                            items.push(DetectItem {
-                                txn: idx as u32,
-                                table,
-                                col,
-                                key: cell,
-                                is_write: true,
-                                check_waw,
-                                membership: None,
-                            });
-                        }
-                    }
-                    CellAccess::Rmw { table, row, col, cell } => {
-                        if owns_row(table, row) {
-                            items.push(DetectItem {
-                                txn: idx as u32,
-                                table,
-                                col,
-                                key: cell,
-                                is_write: true,
-                                check_waw: true,
-                                membership: None,
-                            });
-                        }
-                    }
-                    CellAccess::MembershipWrite { table, partition } => {
-                        if owns_mem(table, partition) {
-                            items.push(DetectItem {
-                                txn: idx as u32,
-                                table,
-                                col: None,
-                                key: 0,
-                                is_write: true,
-                                check_waw: false,
-                                membership: Some(partition),
-                            });
-                        }
-                    }
-                }
-            }
-        }
     }
 
     /// Second half of a batch: write-back of committing transactions, the
@@ -1182,11 +862,7 @@ impl LtpgEngine {
             wall_start,
         } = prepared;
         let n = batch.len();
-        let hot = self.cfg.hotpath;
-        let owns_row = |t: TableId, k: i64| match scope {
-            None => true,
-            Some(s) => (s.owns_row)(t, k),
-        };
+        let owns_row = |t: TableId, k: i64| scope.is_none_or(|s| (s.owns_row)(t, k));
 
         // ---- Phase 3: write-back. ----
         let reordering = self.cfg.opts.logical_reordering;
@@ -1196,12 +872,8 @@ impl LtpgEngine {
             let txn = &batch.txns[idx];
             lane.branch(u32::from(txn.proc.0));
             // Flag-word fetch: one coalesced word from the dense SoA flag
-            // array, or a gather through the AoS transaction record.
-            if hot.soa_layout {
-                lane.read_global(1);
-            } else {
-                lane.read_global_random(1);
-            }
+            // array.
+            lane.read_global(1);
             let f = flags[idx].load();
             if !commit_ok(f) {
                 return;
@@ -1299,24 +971,11 @@ impl LtpgEngine {
                 op_items.push((ci, j + 1 == *cnt));
             }
         }
-        // Simulated buffer allocation for the finish half: the committed-
-        // flag words and the merge scratch, cudaMalloc'd per batch without
-        // arena reuse, watermark-gated with it.
-        let alloc_events: u64 = if hot.arena_reuse {
-            if op_items.len() > self.scratch.wm_merge {
-                self.scratch.wm_merge = op_items.len();
-                1
-            } else {
-                0
-            }
-        } else {
-            2
-        };
-        if alloc_events > 0 {
-            let ns = alloc_events as f64 * self.device.cost().device_alloc_ns;
-            stats.alloc_events += alloc_events;
-            stats.alloc_ns += ns;
-            self.device.advance(ns);
+        // Simulated buffer allocation for the finish half: the merge
+        // scratch, watermark-gated like the prepare-half buffers.
+        if op_items.len() > self.scratch.wm_merge {
+            self.scratch.wm_merge = op_items.len();
+            self.charge_alloc(&mut stats, 1);
         }
         if !op_items.is_empty() {
             let merge_report = self.device.launch("delayed_merge", &op_items, |lane, &(ci, is_last)| {
@@ -1414,6 +1073,16 @@ impl LtpgEngine {
         op_items.clear();
         self.scratch.op_items = op_items;
         Ok(ReportWithStats { report, stats })
+    }
+
+    /// Charge `events` simulated device-buffer allocations to the batch.
+    fn charge_alloc(&self, stats: &mut LtpgBatchStats, events: u64) {
+        if events > 0 {
+            let ns = events as f64 * self.device.cost().device_alloc_ns;
+            stats.alloc_events += events;
+            stats.alloc_ns += ns;
+            self.device.advance(ns);
+        }
     }
 
     /// Publish one batch's phase breakdown, abort taxonomy, conflict-log
@@ -1984,105 +1653,122 @@ mod tests {
         );
     }
 
-    /// Tentpole invariant: every hot-path toggle is decision-neutral — the
-    /// committed set and the final database state are bit-identical with
-    /// any combination — while the shipping configuration is strictly
-    /// faster than the pre-optimization engine on simulated time.
-    #[test]
-    fn hotpath_toggles_are_decision_neutral_and_faster() {
-        use crate::config::HotpathOpts;
-        let mk = |hotpath: HotpathOpts| {
-            let (db, t) = small_db();
-            let mut cfg = LtpgConfig { hotpath, ..LtpgConfig::default() };
-            cfg.delayed_cols.insert((t, ColId(1)));
-            // A contended mix exercising every detect-item shape: reads,
-            // updates, RMWs, delayed adds, inserts and deletes.
-            let txns: Vec<Txn> = (0..240)
-                .map(|i| {
-                    let ops = match i % 5 {
-                        0 => vec![read(t, i % 30, 0), write(t, (i * 7) % 40, i)],
-                        1 => vec![write(t, i % 25, i)],
-                        2 => vec![add(t, 7, i + 1)],
-                        3 => vec![IrOp::Insert {
-                            table: t,
-                            key: Src::Const(1_000 + i),
-                            values: vec![Src::Const(i), Src::Const(0)],
-                        }],
-                        _ => vec![IrOp::Delete { table: t, key: Src::Const(50 + (i % 20)) }],
-                    };
-                    Txn::new(ProcId((i % 3) as u16), vec![], ops)
-                })
-                .collect();
-            let (engine, _b, report, _p) = run(db, cfg, txns);
-            (report.committed.clone(), engine.database().state_digest(), report.sim_ns)
-        };
-        let (c_after, d_after, ns_after) = mk(HotpathOpts::all());
-        let (c_before, d_before, ns_before) = mk(HotpathOpts::none());
-        assert_eq!(c_after, c_before, "hot-path toggles changed the committed set");
-        assert_eq!(d_after, d_before, "hot-path toggles changed the final state");
-        assert!(
-            ns_after < ns_before,
-            "shipping config ({ns_after} ns) must beat the pre-optimization engine ({ns_before} ns)"
-        );
-        // Each toggle is individually neutral too.
-        for single in [
-            HotpathOpts { arena_reuse: true, ..HotpathOpts::none() },
-            HotpathOpts { soa_layout: true, ..HotpathOpts::none() },
-            HotpathOpts { warp_probe: true, ..HotpathOpts::none() },
-            HotpathOpts { single_scan_detect: true, ..HotpathOpts::none() },
-        ] {
-            let (c, d, _) = mk(single);
-            assert_eq!(c, c_before, "toggle {single:?} changed the committed set");
-            assert_eq!(d, d_before, "toggle {single:?} changed the final state");
-        }
+    /// A contended mixed batch exercising every detect-item shape: reads,
+    /// updates, RMWs, delayed adds, inserts and deletes.
+    fn mixed_batch(t: TableId) -> Vec<Txn> {
+        (0..240)
+            .map(|i| {
+                let ops = match i % 5 {
+                    0 => vec![read(t, i % 30, 0), write(t, (i * 7) % 40, i)],
+                    1 => vec![write(t, i % 25, i)],
+                    2 => vec![add(t, 7, i + 1)],
+                    3 => vec![IrOp::Insert {
+                        table: t,
+                        key: Src::Const(1_000 + i),
+                        values: vec![Src::Const(i), Src::Const(0)],
+                    }],
+                    _ => vec![IrOp::Delete { table: t, key: Src::Const(50 + (i % 20)) }],
+                };
+                Txn::new(ProcId((i % 3) as u16), vec![], ops)
+            })
+            .collect()
     }
 
-    /// Tentpole regression: once the arena has warmed up (first batch), a
-    /// steady-state batch allocates nothing — zero alloc events, zero
-    /// alloc time — and the telemetry counter goes flat. Without arena
-    /// reuse every batch keeps paying.
+    /// The default engine's simulated cost, pinned per phase: the cell
+    /// walk, registration, detection and allocation charging may be
+    /// restructured, but never re-priced unnoticed.
+    #[test]
+    fn default_engine_phase_costs_are_pinned() {
+        let (db, t) = small_db();
+        let mut cfg = LtpgConfig::default();
+        cfg.delayed_cols.insert((t, ColId(1)));
+        let mut engine =
+            LtpgEngine::with_telemetry(db, cfg, ltpg_telemetry::Registry::new_shared());
+        let batch = Batch::assemble(vec![], mixed_batch(t), &mut TidGen::new());
+        let prepared = engine.try_prepare_batch(&batch, None).unwrap();
+        assert_eq!(prepared.detect_items, 288);
+        let rws = engine.try_finish_batch(&batch, prepared, None).unwrap();
+        let s = &rws.stats;
+        assert_eq!(s.execute_ns, 27647.14285714286);
+        assert_eq!(s.detect_ns, 3109.0714285714284);
+        assert_eq!(s.writeback_ns, 6298.928571428571);
+        assert_eq!(s.alloc_ns, 12000.0);
+        assert_eq!(s.alloc_events, 6);
+        assert_eq!(rws.report.sim_ns, 71290.77922077922);
+        assert_eq!(rws.report.committed.len(), 107);
+        assert_eq!(engine.database().state_digest(), 11634658757472530799);
+    }
+
+    /// Once the arena has warmed up (first batch), a steady-state batch
+    /// allocates nothing — zero alloc events, zero alloc time — and the
+    /// telemetry counter goes flat.
     #[test]
     fn steady_state_batches_charge_zero_alloc_events() {
-        let run_batches = |hotpath: crate::config::HotpathOpts| {
-            let (db, t) = small_db();
-            let cfg = LtpgConfig { hotpath, ..LtpgConfig::default() };
-            let reg = ltpg_telemetry::Registry::new_shared();
-            let mut engine = LtpgEngine::with_telemetry(db, cfg, reg);
-            let mut gen = TidGen::new();
-            let mut per_batch = Vec::new();
-            for round in 0..4 {
-                let txns: Vec<Txn> = (0..64)
-                    .map(|i| {
-                        Txn::new(
-                            ProcId(0),
-                            vec![],
-                            vec![read(t, (round + i) % 30, 0), write(t, (i * 3) % 90, i)],
-                        )
-                    })
-                    .collect();
-                let batch = Batch::assemble(vec![], txns, &mut gen);
-                let rws = engine.execute_batch_report(&batch);
-                per_batch.push((rws.stats.alloc_events, rws.stats.alloc_ns));
-            }
-            let counter =
-                engine.telemetry().counter_value(ltpg_telemetry::names::LTPG_ALLOC_EVENTS);
-            (per_batch, counter)
-        };
-
-        let (reused, counter) = run_batches(crate::config::HotpathOpts::all());
-        assert!(reused[0].0 > 0, "warm-up batch must charge the initial allocations");
-        for (events, ns) in &reused[1..] {
+        let (db, t) = small_db();
+        let reg = ltpg_telemetry::Registry::new_shared();
+        let mut engine = LtpgEngine::with_telemetry(db, LtpgConfig::default(), reg);
+        let mut gen = TidGen::new();
+        let mut per_batch = Vec::new();
+        for round in 0..4 {
+            let txns: Vec<Txn> = (0..64)
+                .map(|i| {
+                    Txn::new(
+                        ProcId(0),
+                        vec![],
+                        vec![read(t, (round + i) % 30, 0), write(t, (i * 3) % 90, i)],
+                    )
+                })
+                .collect();
+            let batch = Batch::assemble(vec![], txns, &mut gen);
+            let rws = engine.execute_batch_report(&batch);
+            per_batch.push((rws.stats.alloc_events, rws.stats.alloc_ns));
+        }
+        let counter = engine.telemetry().counter_value(ltpg_telemetry::names::LTPG_ALLOC_EVENTS);
+        assert!(per_batch[0].0 > 0, "warm-up batch must charge the initial allocations");
+        for (events, ns) in &per_batch[1..] {
             assert_eq!(*events, 0, "steady-state batch allocated");
             assert_eq!(*ns, 0.0, "steady-state batch charged alloc time");
         }
-        assert_eq!(counter, reused[0].0, "telemetry watermark must stop at warm-up");
+        assert_eq!(counter, per_batch[0].0, "telemetry watermark must stop at warm-up");
+    }
 
-        let (fresh, fresh_counter) = run_batches(crate::config::HotpathOpts::none());
-        for (events, ns) in &fresh {
-            assert_eq!(*events, 6, "pre-optimization engine allocates every batch");
-            assert!(*ns > 0.0);
-        }
-        assert_eq!(fresh_counter, 24);
+    /// A long-running engine crosses the conflict log's epoch ceiling
+    /// without panicking, and decides exactly like a fresh engine.
+    #[test]
+    fn epoch_wrap_decides_like_a_fresh_engine() {
+        let run = |near_ceiling: bool| {
+            let (db, t) = small_db();
+            let mut cfg = LtpgConfig::default();
+            cfg.delayed_cols.insert((t, ColId(1)));
+            // Standard-sized buckets, so a stale slot would collide with
+            // every later registration of its cell.
+            cfg.opts.dynamic_buckets = false;
+            let mut engine =
+                LtpgEngine::with_telemetry(db, cfg, ltpg_telemetry::Registry::new_shared());
+            if near_ceiling {
+                engine.log.skip_to_last_epochs(2);
+            }
+            let mut gen = TidGen::new();
+            let mut commits = Vec::new();
+            for round in 0..4i64 {
+                let txns: Vec<Txn> = mixed_batch(t)
+                    .into_iter()
+                    .map(|txn| {
+                        let mut ops = txn.ops;
+                        ops.push(write(t, round * 3 % 40, round));
+                        Txn::new(txn.proc, vec![], ops)
+                    })
+                    .collect();
+                let batch = Batch::assemble(vec![], txns, &mut gen);
+                commits.push(engine.execute_batch(&batch).committed);
+            }
+            (commits, engine.database().state_digest(), engine.log.epoch())
+        };
+        let (fresh, fresh_digest, _) = run(false);
+        let (wrapped, wrapped_digest, epoch) = run(true);
+        assert_eq!(epoch, 2, "the log must have wrapped back to a low epoch");
+        assert_eq!(wrapped, fresh);
+        assert_eq!(wrapped_digest, fresh_digest);
     }
 
     /// The scope chain behind remote reads: a local hit wins over the

@@ -74,11 +74,11 @@ pub mod twin;
 mod util;
 
 pub use adaptive::{AdaptiveEngine, AdaptivePolicy, BatchProfile, EngineChoice};
-pub use config::{HotpathOpts, LtpgConfig, OptFlags, SyncMode};
+pub use config::{LtpgConfig, OptFlags, SyncMode};
 pub use conflict::ConflictLog;
 pub use engine::{
-    cell_accesses, cell_key, commit_decision, flag, stage_effects, CellAccess, ExecScope,
-    LtpgEngine, PreparedBatch, Staged,
+    cell_key, commit_decision, flag, for_each_cell_access, stage_effects, AccessKind, CellAccess,
+    ExecScope, LogCell, LtpgEngine, PreparedBatch, Staged,
 };
 pub use faults::{
     FaultHorizon, FaultInjector, FaultPlan, PromotionCrashpoint, ReplicaChaos, WalDamage,

@@ -15,10 +15,11 @@
 //! executes, registers and detects against the snapshot; the caller may
 //! read and OR-merge the flag words ([`CpuPrepared::flag_word`] /
 //! [`CpuPrepared::set_flag_word`]); [`CpuTwin::finish`] applies the commit
-//! rule and writes back. Staging, the cell walk and the commit rule are the
-//! engine's own ([`stage_effects`], [`cell_accesses`], [`commit_decision`]);
-//! only the conflict log differs — exact `BTreeMap` min-TID cells in place
-//! of hashed buckets. The maps never run out of room, so the twin never
+//! rule and writes back. Staging, the cell walk, the detection rule and the
+//! commit rule are the engine's own ([`stage_effects`],
+//! [`for_each_cell_access`], [`crate::CellAccess::conflict_flags`],
+//! [`commit_decision`]); only the conflict log differs — exact `BTreeMap`
+//! min-TID cells in place of hashed buckets. The maps never run out of room, so the twin never
 //! raises `LOG_FULL`: under extreme load the GPU log can force-abort
 //! transactions the twin would admit (see DESIGN.md for that capacity
 //! caveat). Workloads below that capacity decide identically.
@@ -34,22 +35,20 @@ use ltpg_txn::{Batch, BatchEngine, BatchReport};
 
 use crate::config::LtpgConfig;
 use crate::engine::{
-    cell_accesses, commit_decision, flag, stage_effects, CellAccess, ExecScope, ScopedStore,
-    Staged,
+    commit_decision, flag, for_each_cell_access, stage_effects, AccessKind, ExecScope, LogCell,
+    ScopedStore, Staged,
 };
 
 /// Exact min-TID maps standing in for the GPU conflict log, keyed by the
-/// same encoded cell keys.
+/// same log cells.
 #[derive(Default)]
 struct MinTidLog {
-    read_min: BTreeMap<(TableId, Option<ColId>, i64), u64>,
-    write_min: BTreeMap<(TableId, Option<ColId>, i64), u64>,
-    mem_read_min: BTreeMap<(TableId, i64), u64>,
-    mem_write_min: BTreeMap<(TableId, i64), u64>,
+    read_min: BTreeMap<(TableId, LogCell), u64>,
+    write_min: BTreeMap<(TableId, LogCell), u64>,
 }
 
 /// Record `tid` at `k`, keeping the minimum.
-fn note_min<K: Ord>(map: &mut BTreeMap<K, u64>, k: K, tid: u64) {
+fn note_min(map: &mut BTreeMap<(TableId, LogCell), u64>, k: (TableId, LogCell), tid: u64) {
     map.entry(k).and_modify(|m| *m = (*m).min(tid)).or_insert(tid);
 }
 
@@ -131,14 +130,6 @@ impl CpuTwin {
     /// `scope.remote` and registration/detection cover only owned cells.
     pub fn prepare(&mut self, batch: &Batch, scope: Option<&ExecScope<'_>>) -> CpuPrepared {
         let n = batch.len();
-        let owns_row = |t: TableId, k: i64| match scope {
-            None => true,
-            Some(s) => (s.owns_row)(t, k),
-        };
-        let owns_mem = |t: TableId, p: i64| match scope {
-            None => true,
-            Some(s) => (s.owns_membership)(t, p),
-        };
         let scoped_store =
             scope.and_then(|s| s.remote).map(|remote| ScopedStore { local: &self.db, remote });
         let mut flags = vec![0u32; n];
@@ -173,36 +164,18 @@ impl CpuTwin {
                 }));
                 continue;
             }
-            for a in cell_accesses(&self.db, &fx, &normal) {
-                match a {
-                    CellAccess::Read { table, row, col, cell } => {
-                        if owns_row(table, row) {
-                            note_min(&mut log.read_min, (table, col, cell), tid);
-                        }
-                    }
-                    CellAccess::MembershipRead { table, partition } => {
-                        if owns_mem(table, partition) {
-                            note_min(&mut log.mem_read_min, (table, partition), tid);
-                        }
-                    }
-                    CellAccess::Write { table, row, col, cell, .. } => {
-                        if owns_row(table, row) {
-                            note_min(&mut log.write_min, (table, col, cell), tid);
-                        }
-                    }
-                    CellAccess::Rmw { table, row, col, cell } => {
-                        if owns_row(table, row) {
-                            note_min(&mut log.read_min, (table, col, cell), tid);
-                            note_min(&mut log.write_min, (table, col, cell), tid);
-                        }
-                    }
-                    CellAccess::MembershipWrite { table, partition } => {
-                        if owns_mem(table, partition) {
-                            note_min(&mut log.mem_write_min, (table, partition), tid);
-                        }
-                    }
+            for_each_cell_access(&self.db, &fx, &normal, |a| {
+                if !a.owned_by(scope) {
+                    return;
                 }
-            }
+                let k = (a.table, a.cell);
+                if a.kind != AccessKind::Write {
+                    note_min(&mut log.read_min, k, tid);
+                }
+                if a.kind != AccessKind::Read {
+                    note_min(&mut log.write_min, k, tid);
+                }
+            });
             outcomes.push(Some(ExecOutcome { normal, delayed, effects: fx }));
         }
 
@@ -213,65 +186,15 @@ impl CpuTwin {
                 continue;
             }
             let tid = batch.txns[idx].tid.0;
-            for a in cell_accesses(&self.db, &out.effects, &out.normal) {
-                let (min_w, min_r, is_write, check_waw) = match a {
-                    CellAccess::Read { table, row, col, cell } => {
-                        if !owns_row(table, row) {
-                            continue;
-                        }
-                        (log.write_min.get(&(table, col, cell)), None, false, false)
-                    }
-                    CellAccess::MembershipRead { table, partition } => {
-                        if !owns_mem(table, partition) {
-                            continue;
-                        }
-                        (log.mem_write_min.get(&(table, partition)), None, false, false)
-                    }
-                    CellAccess::Write { table, row, col, cell, check_waw } => {
-                        if !owns_row(table, row) {
-                            continue;
-                        }
-                        (
-                            log.write_min.get(&(table, col, cell)),
-                            log.read_min.get(&(table, col, cell)),
-                            true,
-                            check_waw,
-                        )
-                    }
-                    CellAccess::Rmw { table, row, col, cell } => {
-                        if !owns_row(table, row) {
-                            continue;
-                        }
-                        (
-                            log.write_min.get(&(table, col, cell)),
-                            log.read_min.get(&(table, col, cell)),
-                            true,
-                            true,
-                        )
-                    }
-                    CellAccess::MembershipWrite { table, partition } => {
-                        if !owns_mem(table, partition) {
-                            continue;
-                        }
-                        (
-                            log.mem_write_min.get(&(table, partition)),
-                            log.mem_read_min.get(&(table, partition)),
-                            true,
-                            false,
-                        )
-                    }
-                };
-                if is_write {
-                    if check_waw && min_w.is_some_and(|&m| m < tid) {
-                        flags[idx] |= flag::WAW;
-                    }
-                    if min_r.is_some_and(|&m| m < tid) {
-                        flags[idx] |= flag::WAR;
-                    }
-                } else if min_w.is_some_and(|&m| m < tid) {
-                    flags[idx] |= flag::RAW;
+            for_each_cell_access(&self.db, &out.effects, &out.normal, |a| {
+                if a.owned_by(scope) {
+                    let k = (a.table, a.cell);
+                    flags[idx] |= a.conflict_flags(tid, |writer| {
+                        let mins = if writer { &log.write_min } else { &log.read_min };
+                        mins.get(&k).copied()
+                    });
                 }
-            }
+            });
         }
 
         // Execute + detect span two of the three phase barriers; per-op
@@ -292,10 +215,7 @@ impl CpuTwin {
         scope: Option<&ExecScope<'_>>,
     ) -> (Vec<bool>, f64) {
         let CpuPrepared { outcomes, flags, .. } = prepared;
-        let owns_row = |t: TableId, k: i64| match scope {
-            None => true,
-            Some(s) => (s.owns_row)(t, k),
-        };
+        let owns_row = |t: TableId, k: i64| scope.is_none_or(|s| (s.owns_row)(t, k));
         let reordering = self.cfg.opts.logical_reordering;
         let committed: Vec<bool> = flags.iter().map(|&f| commit_decision(reordering, f)).collect();
         let committing = || {

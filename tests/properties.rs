@@ -28,7 +28,7 @@ proptest! {
         s_u in prop_oneof![Just(1usize), Just(4), Just(32)],
     ) {
         let device = Device::new(DeviceConfig::default());
-        let log = TableLog::new(256, s_u);
+        let log = TableLog::new(256, s_u, 1);
         let mut model = LogModel::default();
         for &(key, tid, is_write) in &ops {
             if is_write {
