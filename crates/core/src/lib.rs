@@ -65,6 +65,7 @@ pub mod adaptive;
 pub mod config;
 pub mod conflict;
 pub mod engine;
+pub mod exec;
 pub mod faults;
 pub mod pipeline;
 pub mod recovery;
@@ -80,6 +81,7 @@ pub use engine::{
     cell_key, commit_decision, flag, for_each_cell_access, stage_effects, AccessKind, CellAccess,
     ExecScope, LogCell, LtpgEngine, PreparedBatch, Staged,
 };
+pub use exec::Executor;
 pub use faults::{
     FaultHorizon, FaultInjector, FaultPlan, PromotionCrashpoint, ReplicaChaos, WalDamage,
     WalDamageReport,
@@ -91,7 +93,7 @@ pub use recovery::{
     DurabilityManager, RecoveryError, RecoveryOptions, RecoveryOutcome, RecoveryStats, TailPolicy,
 };
 pub use server::{
-    BatchSummary, FailoverProvider, LtpgServer, ServerConfig, ServerError, ServerStats,
+    AdmissionQueue, BatchSummary, LtpgServer, ServerConfig, ServerError, ServerStats,
 };
 pub use stats::{FaultStats, LtpgBatchStats};
 pub use twin::{CpuPrepared, CpuTwin};

@@ -5,15 +5,17 @@
 //! batches for durability, streams them to the device, and re-queues
 //! aborted transactions for a later batch (two batches later under the
 //! pipeline model, §V-E). [`LtpgServer`] packages that loop behind a
-//! submit/tick/drain API so applications never touch batch assembly.
+//! submit/tick/drain API so applications never touch batch assembly; the
+//! admission half of it ([`AdmissionQueue`]) is shared with the sharded
+//! server.
 //!
 //! ## Fault handling
 //!
 //! The server is the fault boundary. Each tick logs the batch *before*
-//! executing it, then runs it through the active executor:
+//! executing it, then runs it through its [`Executor`]:
 //!
 //! - a **transient transfer fault** on upload aborts the attempt before
-//!   the device touches anything, so the server retries the whole batch —
+//!   the device touches anything, so the executor retries the whole batch —
 //!   up to [`ServerConfig::max_transient_retries`] times, charging
 //!   exponential backoff to simulated time;
 //! - **device loss** (or retry exhaustion) triggers graceful degradation:
@@ -21,7 +23,13 @@
 //!   deterministic CPU twin ([`CpuTwin`]), replays the in-flight batch
 //!   there, and keeps serving. Determinism makes the hand-off invisible:
 //!   the twin derives bit-identical commit decisions, so clients see the
-//!   same history, only slower.
+//!   same history, only slower;
+//! - a **timed device recovery** ([`ReplicaChaos::device_recovers_after_batches`])
+//!   re-promotes the degraded server onto the revived device.
+//!
+//! Warm standbys and failover live in the sharded server
+//! (`ltpg_shard::ShardedServer::attach_replicas`), which runs the same
+//! loop unscoped at one shard.
 //!
 //! Counters for all of this are in [`FaultStats`] via
 //! [`LtpgServer::stats`].
@@ -29,14 +37,15 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use ltpg_gpu_sim::{Device, DeviceError, DeviceFaultPlan};
+use ltpg_gpu_sim::{Device, DeviceFaultPlan};
 use ltpg_storage::Database;
 use ltpg_telemetry::{names, Registry};
 use ltpg_txn::{Batch, BatchEngine, BatchReport, Tid, TidGen, Txn};
 
 use crate::config::LtpgConfig;
 use crate::engine::LtpgEngine;
-use crate::faults::{PromotionCrashpoint, ReplicaChaos};
+use crate::exec::Executor;
+use crate::faults::ReplicaChaos;
 use crate::recovery::{DurabilityManager, RecoveryError, RecoveryOptions};
 use crate::stats::FaultStats;
 use crate::twin::CpuTwin;
@@ -120,7 +129,7 @@ impl ServerStats {
 }
 
 /// Outcome of one [`LtpgServer::tick`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BatchSummary {
     /// TIDs committed by this batch.
     pub committed: Vec<Tid>,
@@ -165,160 +174,29 @@ impl std::error::Error for ServerError {
     }
 }
 
-/// Warm-standby supplier the server consults before abandoning the GPU.
-///
-/// The replication layer (`ltpg-replica`) implements this for its
-/// `ReplicaSet`; the trait lives here so the core server can route device
-/// loss through replicas without depending on the replica crate. The
-/// contract leans entirely on determinism: a standby that replayed the
-/// same WAL prefix is bit-identical to the primary, so the server may
-/// swap executors at a batch boundary without any state transfer.
-pub trait FailoverProvider {
-    /// The durability log advanced to `dur.logged_batches()`; standbys may
-    /// replay toward the new tail. Called once per executed batch.
-    fn after_batch(&mut self, dur: &DurabilityManager);
-
-    /// Standbys currently healthy enough to promote.
-    fn standbys_available(&self) -> usize;
-
-    /// Promote the best standby: catch it up through batches `< upto`
-    /// (the in-flight batch `upto` is re-executed by the server on the
-    /// promoted engine) and surrender the engine. `None` when the pool is
-    /// exhausted or every standby is dead.
-    fn promote(&mut self, dur: &DurabilityManager, upto: u64) -> Option<Box<LtpgEngine>>;
-
-    /// A physically recovered device is offered back to the pool (already
-    /// revived and reset). Returns whether it was re-enlisted as a fresh
-    /// standby.
-    fn reenlist(&mut self, device: Arc<Device>, dur: &DurabilityManager) -> bool;
-}
-
-/// The executor currently serving batches.
-enum Executor {
-    /// Normal operation: the (simulated) GPU engine.
-    Gpu(Box<LtpgEngine>),
-    /// Degraded operation after device loss: the serial CPU twin.
-    Cpu(Box<CpuTwin>),
-}
-
-impl Executor {
-    fn database(&self) -> &Database {
-        match self {
-            Executor::Gpu(e) => e.database(),
-            Executor::Cpu(e) => e.database(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Executor::Gpu(e) => e.name(),
-            Executor::Cpu(e) => e.name(),
-        }
-    }
-
-    fn record_telemetry(&self, reg: &Registry, report: &BatchReport) {
-        match self {
-            Executor::Gpu(e) => e.record_telemetry(reg, report),
-            Executor::Cpu(e) => e.record_telemetry(reg, report),
-        }
-    }
-}
-
-/// A batching OLTP server over one [`LtpgEngine`], degrading to a
-/// [`CpuTwin`] if the device is lost.
-pub struct LtpgServer {
-    executor: Executor,
-    durability: DurabilityManager,
-    cfg: ServerConfig,
-    /// Engine configuration, kept for recovery replays and the CPU-twin
-    /// hand-off.
-    engine_cfg: LtpgConfig,
+/// The admission half of a batching server: fresh submissions, aborted
+/// transactions waiting out their re-entry delay, and TID assignment at
+/// batch assembly. Shared by [`LtpgServer`] and the sharded server.
+#[derive(Debug)]
+pub struct AdmissionQueue {
     tids: TidGen,
     /// Fresh client submissions.
     inbox: VecDeque<Txn>,
     /// Aborted transactions waiting out their re-entry delay; slot 0
     /// re-enters on the next tick.
     requeue: VecDeque<Vec<Txn>>,
-    stats: ServerStats,
-    /// This server's private metrics registry: every component under the
-    /// server (device, engine, fault handling) publishes here, so two
-    /// servers in one process never cross-contaminate.
-    telemetry: Arc<Registry>,
-    /// Warm standbys to promote on device loss, if attached.
-    failover: Option<Box<dyn FailoverProvider>>,
-    /// Armed replication chaos (timed device recovery, promotion-window
-    /// crashpoints). Inert by default.
-    replica_chaos: ReplicaChaos,
-    /// The physical device lost by the last degradation/failover, kept so
-    /// a timed recovery can revive and re-enlist it.
-    lost_device: Option<Arc<Device>>,
-    /// `stats.batches` at the moment the device was lost.
-    lost_at_batch: Option<u64>,
 }
 
-impl LtpgServer {
-    /// Create a server over `db`.
-    pub fn new(db: Database, engine_cfg: LtpgConfig, cfg: ServerConfig) -> Self {
-        assert!(cfg.batch_size > 0, "batch size must be positive");
-        let durability = DurabilityManager::new(&db);
-        let telemetry = Registry::new_shared();
-        // Pre-touch the fault counters so a fault-free export still shows
-        // the whole family at zero (dashboards alert on any non-zero).
-        for name in names::FAULT_COUNTERS {
-            telemetry.counter(name);
-        }
-        LtpgServer {
-            executor: Executor::Gpu(Box::new(LtpgEngine::with_telemetry(
-                db,
-                engine_cfg.clone(),
-                Arc::clone(&telemetry),
-            ))),
-            durability,
-            cfg,
-            engine_cfg,
-            tids: TidGen::new(),
-            inbox: VecDeque::new(),
-            requeue: VecDeque::new(),
-            stats: ServerStats::default(),
-            telemetry,
-            failover: None,
-            replica_chaos: ReplicaChaos::none(),
-            lost_device: None,
-            lost_at_batch: None,
-        }
+impl Default for AdmissionQueue {
+    fn default() -> Self {
+        AdmissionQueue { tids: TidGen::new(), inbox: VecDeque::new(), requeue: VecDeque::new() }
     }
+}
 
-    /// Attach a warm-standby pool. On device loss the server promotes a
-    /// standby (caught up from the WAL) instead of degrading to the CPU
-    /// twin; the twin remains the last resort once the pool is
-    /// exhausted.
-    pub fn attach_failover(&mut self, provider: Box<dyn FailoverProvider>) {
-        self.failover = Some(provider);
-    }
-
-    /// Whether a failover provider is attached.
-    pub fn has_failover(&self) -> bool {
-        self.failover.is_some()
-    }
-
-    /// Arm replication chaos knobs (timed device recovery, promotion-window
-    /// crashpoints). Heartbeat and standby-lag knobs are consumed by the
-    /// replica layer itself.
-    pub fn arm_replica_chaos(&mut self, chaos: ReplicaChaos) {
-        self.replica_chaos = chaos;
-    }
-
-    /// Enqueue one transaction.
+impl AdmissionQueue {
+    /// Enqueue one fresh transaction.
     pub fn submit(&mut self, txn: Txn) {
-        self.stats.admitted += 1;
         self.inbox.push_back(txn);
-    }
-
-    /// Enqueue many transactions.
-    pub fn submit_all<I: IntoIterator<Item = Txn>>(&mut self, txns: I) {
-        for t in txns {
-            self.submit(t);
-        }
     }
 
     /// Transactions waiting (fresh + re-queued).
@@ -337,6 +215,127 @@ impl LtpgServer {
     /// can mirror this counter to correlate commits with submissions.
     pub fn next_tid(&self) -> u64 {
         self.tids.peek()
+    }
+
+    /// Advance the re-entry delay clock one tick and assemble the next
+    /// batch: the re-queued transactions now due, topped up from the inbox
+    /// to `batch_size`. `None` when nothing is due — the server is idle if
+    /// [`pending`](Self::pending) is 0, otherwise aborts are still waiting
+    /// out their delay and the tick just passes time.
+    pub fn next_batch(&mut self, batch_size: usize) -> Option<Batch> {
+        let due = self.requeue.pop_front().unwrap_or_default();
+        if due.is_empty() && self.inbox.is_empty() {
+            return None;
+        }
+        let take = batch_size.saturating_sub(due.len()).min(self.inbox.len());
+        let fresh: Vec<Txn> = self.inbox.drain(..take).collect();
+        Some(Batch::assemble(due, fresh, &mut self.tids))
+    }
+
+    /// Schedule `batch`'s `aborted` transactions for re-entry: two ticks
+    /// later when `pipelined` (their upload slot for the next batch has
+    /// already left the host), otherwise the next tick.
+    pub fn requeue(&mut self, batch: &Batch, aborted: &[Tid], pipelined: bool) {
+        if aborted.is_empty() {
+            return;
+        }
+        let delay = if pipelined { 2 } else { 1 };
+        while self.requeue.len() < delay {
+            self.requeue.push_back(Vec::new());
+        }
+        let retry = aborted
+            .iter()
+            .map(|tid| batch.by_tid(*tid).expect("aborted tid in batch").clone());
+        self.requeue[delay - 1].extend(retry);
+    }
+}
+
+/// A batching OLTP server over one [`LtpgEngine`], degrading to a
+/// [`CpuTwin`] if the device is lost.
+pub struct LtpgServer {
+    executor: Executor,
+    durability: DurabilityManager,
+    cfg: ServerConfig,
+    /// Engine configuration, kept for recovery replays and the CPU-twin
+    /// hand-off.
+    engine_cfg: LtpgConfig,
+    queue: AdmissionQueue,
+    stats: ServerStats,
+    /// This server's private metrics registry: every component under the
+    /// server (device, engine, fault handling) publishes here, so two
+    /// servers in one process never cross-contaminate.
+    telemetry: Arc<Registry>,
+    /// Armed replication chaos (only the timed device recovery applies to
+    /// a server without standbys). Inert by default.
+    replica_chaos: ReplicaChaos,
+    /// The physical device lost by the last degradation, kept so a timed
+    /// recovery can revive it, with `stats.batches` at the moment of loss.
+    lost_device: Option<(Arc<Device>, u64)>,
+}
+
+impl LtpgServer {
+    /// Create a server over `db`.
+    pub fn new(db: Database, engine_cfg: LtpgConfig, cfg: ServerConfig) -> Self {
+        assert!(cfg.batch_size > 0, "batch size must be positive");
+        let durability = DurabilityManager::new(&db);
+        let telemetry = Registry::new_shared();
+        // Pre-touch the fault counters so a fault-free export still shows
+        // the whole family at zero (dashboards alert on any non-zero).
+        for name in names::FAULT_COUNTERS {
+            telemetry.counter(name);
+        }
+        LtpgServer {
+            executor: Executor::gpu(Box::new(LtpgEngine::with_telemetry(
+                db,
+                engine_cfg.clone(),
+                Arc::clone(&telemetry),
+            ))),
+            durability,
+            cfg,
+            engine_cfg,
+            queue: AdmissionQueue::default(),
+            stats: ServerStats::default(),
+            telemetry,
+            replica_chaos: ReplicaChaos::none(),
+            lost_device: None,
+        }
+    }
+
+    /// Arm replication chaos knobs. Only the timed device recovery
+    /// applies here; heartbeat, standby-lag and promotion knobs need the
+    /// sharded server's standby pool.
+    pub fn arm_replica_chaos(&mut self, chaos: ReplicaChaos) {
+        self.replica_chaos = chaos;
+    }
+
+    /// Enqueue one transaction.
+    pub fn submit(&mut self, txn: Txn) {
+        self.stats.admitted += 1;
+        self.queue.submit(txn);
+    }
+
+    /// Enqueue many transactions.
+    pub fn submit_all<I: IntoIterator<Item = Txn>>(&mut self, txns: I) {
+        for t in txns {
+            self.submit(t);
+        }
+    }
+
+    /// Transactions waiting (fresh + re-queued).
+    pub fn pending(&self) -> usize {
+        self.queue.pending()
+    }
+
+    /// Fresh submissions waiting in the inbox; see
+    /// [`AdmissionQueue::inbox_len`].
+    pub fn inbox_len(&self) -> usize {
+        self.queue.inbox_len()
+    }
+
+    /// The TID the next fresh admission will receive; see
+    /// [`AdmissionQueue::next_tid`].
+    pub fn next_tid(&self) -> u64 {
+        self.queue.next_tid()
     }
 
     /// The live database.
@@ -394,7 +393,7 @@ impl LtpgServer {
 
     /// Whether the server has degraded to the CPU twin.
     pub fn is_degraded(&self) -> bool {
-        matches!(self.executor, Executor::Cpu(_))
+        self.executor.is_cpu()
     }
 
     /// The durability manager (checkpoint/log inspection, recovery).
@@ -405,7 +404,7 @@ impl LtpgServer {
     /// Arm a deterministic device-fault schedule (testing / chaos drills).
     /// No-op when already degraded to the CPU executor.
     pub fn arm_faults(&self, plan: DeviceFaultPlan) {
-        if let Executor::Gpu(engine) = &self.executor {
+        if let Some(engine) = self.executor.engine() {
             engine.device().arm_faults(plan);
         }
     }
@@ -413,7 +412,7 @@ impl LtpgServer {
     /// Force the device into its failed state at the next batch boundary
     /// (the hard-crashpoint drill).
     pub fn force_device_failure(&self) {
-        if let Executor::Gpu(engine) = &self.executor {
+        if let Some(engine) = self.executor.engine() {
             engine.device().fail_now();
         }
     }
@@ -425,14 +424,37 @@ impl LtpgServer {
         self.durability.recover(cfg)
     }
 
-    /// Abandon the device: rebuild the pre-batch state on the CPU twin by
-    /// replaying checkpoint + log up to (excluding) `batch_id`, then
-    /// install it as the executor.
-    fn degrade_to_cpu(&mut self, batch_id: u64) -> Result<&mut CpuTwin, ServerError> {
-        let mut cpu = CpuTwin::new(self.durability.checkpoint_image(), self.engine_cfg.clone());
+    /// Execute `batch` (already logged as `batch_id`), absorbing transient
+    /// faults and degrading to the CPU twin on device loss. Returns the
+    /// report and the retry backoff to charge.
+    fn execute_resilient(
+        &mut self,
+        batch: &Batch,
+        batch_id: u64,
+    ) -> Result<(BatchReport, f64), ServerError> {
+        let mut backoff_ns = 0.0;
+        let executed = self
+            .executor
+            .prepare(batch, None, &self.cfg, &mut backoff_ns)
+            .and_then(|_| self.executor.finish(batch, None));
+        if let Ok((report, _)) = executed {
+            // Download (D2H) retries were already counted on the shared
+            // registry by the engine's retry loop, even for attempts that
+            // later died, so nothing to fold here.
+            return Ok((report, backoff_ns));
+        }
+        // Device loss, or a device so flaky retries ran out. Fence the
+        // failed primary but keep the handle: a timed recovery may revive
+        // it later. The batch is already logged, so the twin rebuilds
+        // exactly the pre-batch state regardless of where mid-batch the
+        // device died, then executes the batch itself.
+        if let Some(engine) = self.executor.engine() {
+            self.lost_device = Some((engine.device_handle(), self.stats.batches));
+        }
+        let mut twin = CpuTwin::new(self.durability.checkpoint_image(), self.engine_cfg.clone());
         let replay = self
             .durability
-            .replay_onto(&mut cpu, &RecoveryOptions::default(), Some(batch_id))
+            .replay_onto(&mut twin, &RecoveryOptions::default(), Some(batch_id))
             .map_err(ServerError::DegradationFailed)?;
         self.telemetry.counter(names::FAULT_FALLBACK_ACTIVATIONS).inc();
         if replay.torn_tail {
@@ -441,141 +463,25 @@ impl LtpgServer {
                 .counter(names::FAULT_BYTES_TRUNCATED)
                 .add(replay.bytes_truncated);
         }
-        self.stats.faults = FaultStats::from_registry(&self.telemetry);
-        self.executor = Executor::Cpu(Box::new(cpu));
-        match &mut self.executor {
-            Executor::Cpu(e) => Ok(e),
-            // Invariant: assigned one line above.
-            Executor::Gpu(_) => unreachable!("executor was just set to Cpu"),
-        }
-    }
-
-    /// Try to promote a warm standby after the primary device was lost
-    /// mid-batch `batch_id`. Returns `Ok(true)` when a caught-up standby
-    /// engine was installed as the executor; `Ok(false)` sends the caller
-    /// down the CPU-degradation path. Promotion-window crashpoints fire
-    /// here — the one moment where in-flight state exists only in the WAL.
-    fn try_failover(&mut self, batch_id: u64) -> Result<bool, ServerError> {
-        let Some(provider) = self.failover.as_mut() else {
-            return Ok(false);
-        };
-        if provider.standbys_available() == 0 {
-            return Ok(false);
-        }
-        match self.replica_chaos.promotion_crash.take() {
-            Some(PromotionCrashpoint::BeforeCatchup) => {
-                return Err(ServerError::InjectedCrash("promotion:before-catchup"));
-            }
-            Some(PromotionCrashpoint::AfterCatchup) => {
-                // Let the standby do its catch-up replay, then die before it
-                // serves a single batch: all that work must be recoverable
-                // from the WAL alone.
-                let _ = provider.promote(&self.durability, batch_id);
-                return Err(ServerError::InjectedCrash("promotion:after-catchup"));
-            }
-            None => {}
-        }
-        let Some(engine) = provider.promote(&self.durability, batch_id) else {
-            return Ok(false);
-        };
-        self.executor = Executor::Gpu(engine);
-        self.stats.faults = FaultStats::from_registry(&self.telemetry);
-        Ok(true)
-    }
-
-    /// Execute `batch` (already logged as `batch_id`) on the active
-    /// executor, absorbing transient faults, failing over to a warm
-    /// standby on device loss, and degrading to the CPU twin as the
-    /// last resort.
-    fn execute_resilient(
-        &mut self,
-        batch: &Batch,
-        batch_id: u64,
-    ) -> Result<(ltpg_txn::BatchReport, f64), ServerError> {
-        let mut backoff_ns = 0.0;
-        while let Executor::Gpu(engine) = &mut self.executor {
-            let mut attempt = 0u32;
-            loop {
-                match engine.try_execute_batch_report(batch) {
-                    // Download (D2H) retries were already counted on the
-                    // shared registry by the engine's retry loop — even for
-                    // attempts that later died — so nothing to fold here.
-                    Ok(r) => return Ok((r.report, backoff_ns)),
-                    // Upload failed before the device touched anything:
-                    // the batch never ran, so re-issuing it is safe.
-                    Err(DeviceError::TransientTransfer { .. })
-                        if attempt < self.cfg.max_transient_retries =>
-                    {
-                        attempt += 1;
-                        self.telemetry.counter(names::FAULT_TRANSIENT_RETRIES).inc();
-                        // Exponent clamped: retry limits ≥ 32 used to
-                        // overflow the u32 shift here.
-                        let pause = self.cfg.retry_backoff_ns
-                            * 2f64.powi((attempt - 1).min(30) as i32);
-                        backoff_ns += pause;
-                        self.telemetry
-                            .counter(names::FAULT_BACKOFF_NS)
-                            .add(pause.round() as u64);
-                    }
-                    // Device loss, or a device so flaky retries ran out.
-                    // The batch is already logged, so whichever successor
-                    // executor takes over rebuilds exactly the pre-batch
-                    // state regardless of where mid-batch the device died.
-                    Err(_) => break,
-                }
-            }
-            // Fence the failed primary but keep the handle: a timed
-            // recovery may revive it later.
-            self.lost_device = Some(engine.device_handle());
-            self.lost_at_batch = Some(self.stats.batches);
-            if !self.try_failover(batch_id)? {
-                break;
-            }
-            // A promoted standby is serving now; re-issue the in-flight
-            // batch on it (its catch-up replay stopped just short).
-        }
-        let cpu = match &mut self.executor {
-            Executor::Cpu(e) => e,
-            Executor::Gpu(_) => self.degrade_to_cpu(batch_id)?,
-        };
-        Ok((cpu.execute_batch(batch), backoff_ns))
+        let report = twin.execute_batch(batch);
+        self.executor = Executor::cpu(twin);
+        Ok((report, backoff_ns))
     }
 
     /// If the chaos schedule says the lost device's outage has ended,
-    /// revive it and bring it back: a CPU-degraded server re-promotes to a
-    /// GPU engine over the twin's live database (determinism makes the
-    /// swap invisible); a server that already failed over offers the device
-    /// to the standby pool instead. Runs at batch boundaries only — the
-    /// cutover barrier.
+    /// revive it and re-promote the CPU-degraded server onto it. Runs at
+    /// batch boundaries only — the cutover barrier.
     fn maybe_rejoin_recovered_device(&mut self) {
         let Some(k) = self.replica_chaos.device_recovers_after_batches else {
             return;
         };
-        let Some(lost_at) = self.lost_at_batch else {
-            return;
-        };
-        if self.stats.batches < lost_at.saturating_add(k) {
-            return;
-        }
-        let Some(device) = self.lost_device.take() else {
-            return;
-        };
-        self.lost_at_batch = None;
+        let batches = self.stats.batches;
+        let recovered = self.lost_device.take_if(|(_, at)| batches >= at.saturating_add(k));
+        let Some((device, _)) = recovered else { return };
         device.revive();
         device.reset_for_reuse();
-        if let Executor::Cpu(twin) = &mut self.executor {
-            // Re-promotion from the CPU twin: its database IS the current
-            // state, so the recovered device just adopts it.
-            let db = twin.take_database();
-            self.executor = Executor::Gpu(Box::new(LtpgEngine::with_device(
-                db,
-                self.engine_cfg.clone(),
-                Arc::clone(&self.telemetry),
-                device,
-            )));
+        if self.executor.repromote(device, &self.engine_cfg, &self.telemetry).is_none() {
             self.telemetry.counter(names::REPLICA_REPROMOTIONS).inc();
-        } else if let Some(provider) = self.failover.as_mut() {
-            provider.reenlist(device, &self.durability);
         }
     }
 
@@ -600,26 +506,9 @@ impl LtpgServer {
     pub fn try_tick(&mut self) -> Result<Option<BatchSummary>, ServerError> {
         self.telemetry.counter(names::SERVER_TICKS).inc();
         self.maybe_rejoin_recovered_device();
-        let due = self.requeue.pop_front().unwrap_or_default();
-        if due.is_empty() && self.inbox.is_empty() {
-            if self.requeue.iter().all(Vec::is_empty) {
-                return Ok(None); // fully idle
-            }
-            // Work is in a later delay slot: this tick just passes time.
-            return Ok(Some(BatchSummary {
-                committed: Vec::new(),
-                aborted: Vec::new(),
-                sim_ns: 0.0,
-            }));
-        }
-        let mut fresh = Vec::new();
-        while fresh.len() + due.len() < self.cfg.batch_size {
-            match self.inbox.pop_front() {
-                Some(t) => fresh.push(t),
-                None => break,
-            }
-        }
-        let batch = Batch::assemble(due, fresh, &mut self.tids);
+        let Some(batch) = self.queue.next_batch(self.cfg.batch_size) else {
+            return Ok((self.queue.pending() > 0).then(BatchSummary::default));
+        };
         let batch_id = self.durability.log_batch(&batch);
         let (report, backoff_ns) = self.execute_resilient(&batch, batch_id)?;
 
@@ -639,29 +528,13 @@ impl LtpgServer {
             .histogram(names::SERVER_BATCH_NS)
             .record_ns(report.sim_ns + backoff_ns);
         self.executor.record_telemetry(&self.telemetry, &report);
-        if let Some(provider) = self.failover.as_mut() {
-            provider.after_batch(&self.durability);
-        }
         if let Some(every) = self.cfg.checkpoint_every {
             if self.stats.batches.is_multiple_of(every as u64) {
                 self.durability.checkpoint(self.executor.database());
                 self.telemetry.counter(names::SERVER_CHECKPOINTS).inc();
             }
         }
-
-        // Schedule aborts for re-entry.
-        if !report.aborted.is_empty() {
-            let delay = if self.cfg.pipelined { 2 } else { 1 };
-            while self.requeue.len() < delay {
-                self.requeue.push_back(Vec::new());
-            }
-            let retry: Vec<Txn> = report
-                .aborted
-                .iter()
-                .map(|tid| batch.by_tid(*tid).expect("aborted tid in batch").clone())
-                .collect();
-            self.requeue[delay - 1].extend(retry);
-        }
+        self.queue.requeue(&batch, &report.aborted, self.cfg.pipelined);
         self.telemetry.gauge(names::SERVER_PENDING).set(self.pending() as i64);
         Ok(Some(BatchSummary {
             committed: report.committed,

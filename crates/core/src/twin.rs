@@ -64,10 +64,10 @@ struct ExecOutcome {
 pub struct CpuPrepared {
     outcomes: Vec<Option<ExecOutcome>>,
     flags: Vec<u32>,
-    /// Per-op execute/detect work spread over the worker pool, ns.
-    work_ns: f64,
-    /// Simulated prepare time: two phase barriers plus `work_ns`.
+    /// Simulated prepare time: two phase barriers plus per-op execute and
+    /// detect work spread over the worker pool.
     prep_ns: f64,
+    wall_start: Instant,
 }
 
 impl CpuPrepared {
@@ -129,6 +129,7 @@ impl CpuTwin {
     /// database mutation). With a scope, remote reads resolve through
     /// `scope.remote` and registration/detection cover only owned cells.
     pub fn prepare(&mut self, batch: &Batch, scope: Option<&ExecScope<'_>>) -> CpuPrepared {
+        let wall_start = Instant::now();
         let n = batch.len();
         let scoped_store =
             scope.and_then(|s| s.remote).map(|remote| ScopedStore { local: &self.db, remote });
@@ -203,18 +204,22 @@ impl CpuTwin {
         let per_op = self.cost.index_ns + self.cost.read_ns + self.cost.write_ns;
         let work_ns = work_ops as f64 * per_op / self.cost.workers as f64;
         let prep_ns = 2.0 * self.cost.barrier_ns + work_ns;
-        CpuPrepared { outcomes, flags, work_ns, prep_ns }
+        CpuPrepared { outcomes, flags, prep_ns, wall_start }
     }
 
     /// Apply the commit rule over the (possibly merged) flag words and
-    /// write back the owned mutations of committing transactions. Returns
-    /// `(committed?, finish sim-ns)` per transaction in batch order.
+    /// write back the owned mutations of committing transactions of the
+    /// prepared `batch`. Returns the batch report — simulated cost from a
+    /// coarse serial-CPU model: three phase barriers (two in prepare, one
+    /// here) plus per-op work across the worker pool; reporting only — and
+    /// the finish phase's simulated ns.
     pub fn finish(
         &mut self,
+        batch: &Batch,
         prepared: CpuPrepared,
         scope: Option<&ExecScope<'_>>,
-    ) -> (Vec<bool>, f64) {
-        let CpuPrepared { outcomes, flags, .. } = prepared;
+    ) -> (BatchReport, f64) {
+        let CpuPrepared { outcomes, flags, prep_ns, wall_start } = prepared;
         let owns_row = |t: TableId, k: i64| scope.is_none_or(|s| (s.owns_row)(t, k));
         let reordering = self.cfg.opts.logical_reordering;
         let committed: Vec<bool> = flags.iter().map(|&f| commit_decision(reordering, f)).collect();
@@ -283,7 +288,26 @@ impl CpuTwin {
                 table.add(rid, c, sum);
             }
         }
-        (committed, self.cost.barrier_ns)
+        let (mut committed_tids, mut aborted) = (Vec::new(), Vec::new());
+        for (txn, &c) in batch.txns.iter().zip(&committed) {
+            if c {
+                committed_tids.push(txn.tid);
+            } else {
+                aborted.push(txn.tid);
+            }
+        }
+        let finish_ns = self.cost.barrier_ns;
+        let sim_ns = prep_ns + finish_ns;
+        let report = BatchReport {
+            committed: committed_tids,
+            aborted,
+            sim_ns,
+            critical_path_ns: sim_ns,
+            transfer_ns: 0.0,
+            wall_ns: wall_start.elapsed().as_nanos() as u64,
+            semantics: CommitSemantics::SnapshotBatch,
+        };
+        (report, finish_ns)
     }
 }
 
@@ -297,31 +321,8 @@ impl BatchEngine for CpuTwin {
     }
 
     fn execute_batch(&mut self, batch: &Batch) -> BatchReport {
-        let wall_start = Instant::now();
         let prepared = self.prepare(batch, None);
-        let work_ns = prepared.work_ns;
-        let (committed_flags, _) = self.finish(prepared, None);
-        let (mut committed, mut aborted) = (Vec::new(), Vec::new());
-        for (txn, &c) in batch.txns.iter().zip(&committed_flags) {
-            if c {
-                committed.push(txn.tid);
-            } else {
-                aborted.push(txn.tid);
-            }
-        }
-        // Simulated cost: a coarse serial-CPU model — three phase barriers
-        // (two in prepare, one in finish) plus per-op work across the
-        // worker pool. Reporting only.
-        let sim_ns = 3.0 * self.cost.barrier_ns + work_ns;
-        BatchReport {
-            committed,
-            aborted,
-            sim_ns,
-            critical_path_ns: sim_ns,
-            transfer_ns: 0.0,
-            wall_ns: wall_start.elapsed().as_nanos() as u64,
-            semantics: CommitSemantics::SnapshotBatch,
-        }
+        self.finish(batch, prepared, None).0
     }
 }
 
@@ -514,15 +515,8 @@ mod tests {
 
         let mut cpu = CpuTwin::new(db, LtpgConfig::default());
         let prepared = cpu.prepare(&batch, None);
-        let (committed, _) = cpu.finish(prepared, None);
-        let cpu_committed: Vec<_> = batch
-            .txns
-            .iter()
-            .zip(&committed)
-            .filter(|(_, &c)| c)
-            .map(|(txn, _)| txn.tid)
-            .collect();
-        assert_eq!(cpu_committed, gpu_report.report.committed);
+        let (cpu_report, _) = cpu.finish(&batch, prepared, None);
+        assert_eq!(cpu_report.committed, gpu_report.report.committed);
         assert_eq!(
             cpu.database().state_digest(),
             gpu.database().state_digest(),

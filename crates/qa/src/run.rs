@@ -228,9 +228,7 @@ fn engine_pass(case: &QaCase, outcome: &mut CaseOutcome) -> Result<(), Divergenc
             .try_finish_batch(&batch, gprep, None)
             .expect("no device fault plan is armed in the engine pass")
             .report;
-        let (ccommits, _) = cpu.finish(cprep, None);
-        let ccommitted: Vec<Tid> =
-            batch.txns.iter().zip(&ccommits).filter(|(_, &c)| c).map(|(t, _)| t.tid).collect();
+        let ccommitted = cpu.finish(&batch, cprep, None).0.committed;
         if grep.committed != ccommitted {
             return Err(Divergence::CommitSet {
                 site: "engine-vs-cpu".into(),

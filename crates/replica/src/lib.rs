@@ -28,12 +28,13 @@
 //!   into a fresh standby row over the current checkpoint instead of
 //!   staying benched forever.
 //!
-//! The single-device case plugs into [`ltpg::LtpgServer`] through the
-//! [`ltpg::FailoverProvider`] trait (implemented for [`ReplicaSet`] when
-//! it has one shard). The sharded server drives the same pool through
-//! [`ReplicaSet::observe`] / [`ReplicaSet::promote_row`] with a joint
-//! lockstep [`ReplayDriver`], because cross-shard transactions need a
-//! remote view over row peers that only the shard layer can build.
+//! The pool is driven through [`ReplicaSet::observe`] /
+//! [`ReplicaSet::promote_row`] with a [`ReplayDriver`] supplied by the
+//! sharded server (`ltpg_shard::ShardedServer::attach_replicas`), which
+//! replays each logged batch by its own serving round, because
+//! cross-shard transactions need a remote view over row peers that only
+//! the shard layer can build. A one-shard server is the single-device
+//! case; there is no second failover path.
 //!
 //! Everything publishes under the `REPLICA_*` names in
 //! [`ltpg_telemetry::names`]: per-standby lag gauges, promotion /
@@ -48,10 +49,11 @@ pub use set::{MergedWords, ReplayDriver, ReplicaConfig, ReplicaError, ReplicaSet
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ltpg::{FailoverProvider, LtpgConfig, LtpgServer, ServerConfig};
+    use ltpg::{CpuTwin, DurabilityManager, LtpgConfig, LtpgEngine, LtpgServer, ServerConfig};
+    use ltpg_gpu_sim::Device;
     use ltpg_storage::{Database, TableBuilder, TableId};
     use ltpg_telemetry::{names, Registry};
-    use ltpg_txn::{BatchEngine, IrOp, ProcId, Src, Txn};
+    use ltpg_txn::{decode_batch, Batch, BatchEngine, BatchReport, IrOp, ProcId, Src, Txn};
     use std::sync::Arc;
 
     fn db_and_writers(n: usize, keys: i64) -> (Database, Vec<Txn>) {
@@ -77,6 +79,7 @@ mod tests {
         (db, txns)
     }
 
+    /// A primary whose WAL the standbys replay.
     fn server(db: Database, batch: usize) -> LtpgServer {
         LtpgServer::new(
             db,
@@ -85,15 +88,78 @@ mod tests {
         )
     }
 
-    fn attach_standbys(server: &mut LtpgServer, n: usize) {
-        let set = ReplicaSet::new(
-            vec![server.durability().checkpoint_image()],
-            server.durability().checkpoint_batch(),
+    fn standbys(primary: &LtpgServer, n: usize, registry: Arc<Registry>) -> ReplicaSet {
+        ReplicaSet::new(
+            vec![primary.durability().checkpoint_image()],
+            primary.durability().checkpoint_batch(),
             LtpgConfig::default(),
             &ReplicaConfig { standbys: n, ..ReplicaConfig::default() },
-            Arc::clone(server.telemetry()),
-        );
-        server.attach_failover(Box::new(set));
+            registry,
+        )
+    }
+
+    /// Logged batch `batch_id`, decoded.
+    fn logged_batch(dur: &DurabilityManager, batch_id: u64) -> Result<Batch, ReplicaError> {
+        let rec = dur.log().fetch(batch_id).ok_or(ReplicaError::WalGap { batch_id })?;
+        let txns =
+            decode_batch(&rec.payload).map_err(|e| ReplicaError::Corrupt(format!("{e:?}")))?;
+        Ok(Batch { txns })
+    }
+
+    /// One-shard replay: decode the logged batch and execute it on the
+    /// row's lone engine.
+    fn replay(
+        dur: &DurabilityManager,
+    ) -> impl FnMut(&mut [LtpgEngine], u64) -> Result<MergedWords, ReplicaError> + '_ {
+        move |engines, batch_id| {
+            let batch = logged_batch(dur, batch_id)?;
+            engines[0].try_execute_batch_report(&batch).map_err(ReplicaError::Dead)?;
+            Ok(MergedWords::new())
+        }
+    }
+
+    fn logged(primary: &LtpgServer) -> u64 {
+        primary.durability().logged_batches() as u64
+    }
+
+    /// Hand serving over to a successor executor at batch `*next`: tick
+    /// the primary (the batch sequencer) up to `ticks` more times, run
+    /// every newly logged batch on `exec`, and check that its verdicts
+    /// are exactly the primary's.
+    fn take_over(
+        primary: &mut LtpgServer,
+        next: &mut u64,
+        ticks: usize,
+        exec: &mut dyn FnMut(&Batch) -> BatchReport,
+    ) {
+        for _ in 0..ticks {
+            let Some(summary) = primary.tick() else { break };
+            let (mut committed, mut aborted) = (Vec::new(), Vec::new());
+            while *next < logged(primary) {
+                let report = exec(&logged_batch(primary.durability(), *next).unwrap());
+                committed.extend(report.committed);
+                aborted.extend(report.aborted);
+                *next += 1;
+            }
+            let (mut want_committed, mut want_aborted) = (summary.committed, summary.aborted);
+            for v in [&mut committed, &mut aborted, &mut want_committed, &mut want_aborted] {
+                v.sort();
+            }
+            assert_eq!(committed, want_committed, "successor must commit what the primary did");
+            assert_eq!(aborted, want_aborted, "successor must abort what the primary did");
+        }
+    }
+
+    /// Tick the primary `ticks` times (or until idle), letting the pool
+    /// observe the log after each tick.
+    fn serve(primary: &mut LtpgServer, set: &mut ReplicaSet, ticks: usize) {
+        for _ in 0..ticks {
+            if primary.tick().is_none() {
+                break;
+            }
+            let tail = primary.durability().logged_batches() as u64;
+            set.observe(tail, &mut replay(primary.durability()));
+        }
     }
 
     #[test]
@@ -104,20 +170,23 @@ mod tests {
         let ref_stats = reference.drain(200).clone();
 
         let mut primary = server(db, 16);
-        attach_standbys(&mut primary, 1);
+        let mut set = standbys(&primary, 1, Arc::clone(primary.telemetry()));
         primary.submit_all(txns);
-        // Serve a few batches, then lose the device at a boundary.
-        primary.tick().unwrap();
-        primary.tick().unwrap();
-        primary.force_device_failure();
-        let stats = primary.drain(200).clone();
+        // Serve a few batches, then lose the primary's device at a
+        // boundary: the standby row is promoted and executes every later
+        // batch itself.
+        serve(&mut primary, &mut set, 2);
+        let mut next = logged(&primary);
+        let (mut engines, _, _) =
+            set.promote_row(next, &mut replay(primary.durability())).expect("promotable");
+        let engine = &mut engines[0];
+        take_over(&mut primary, &mut next, 200, &mut |b| {
+            engine.try_execute_batch_report(b).expect("promoted device is healthy").report
+        });
 
-        assert!(!primary.is_degraded(), "failover must keep the server on a GPU engine");
-        assert_eq!(primary.executor_name(), "LTPG");
-        assert_eq!(stats.committed, ref_stats.committed);
-        assert_eq!(stats.batches, ref_stats.batches, "cutover must not change batching");
+        assert_eq!(next, ref_stats.batches, "cutover must not change batching");
         assert_eq!(
-            primary.database().state_digest(),
+            engine.database().state_digest(),
             reference.database().state_digest(),
             "promoted standby must serve the exact fault-free history"
         );
@@ -139,66 +208,130 @@ mod tests {
         reference.drain(200);
 
         let mut primary = server(db, 16);
-        attach_standbys(&mut primary, 1);
+        let mut set = standbys(&primary, 1, Arc::clone(primary.telemetry()));
         primary.submit_all(txns);
-        primary.tick().unwrap();
-        primary.force_device_failure(); // consumes the only standby
-        primary.tick().unwrap();
-        primary.force_device_failure(); // pool empty → CPU twin
-        let _ = primary.drain(200);
+        serve(&mut primary, &mut set, 1);
+        let mut next = logged(&primary);
+        // The first loss consumes the only standby.
+        let (mut engines, _, _) =
+            set.promote_row(next, &mut replay(primary.durability())).expect("promotable");
+        let mut gpu = Some(engines.remove(0));
+        let engine = gpu.as_mut().unwrap();
+        take_over(&mut primary, &mut next, 1, &mut |b| {
+            engine.try_execute_batch_report(b).expect("promoted device is healthy").report
+        });
+        // The second loss finds the pool empty: the CPU twin takes over
+        // the promoted engine's state.
+        gpu.as_ref().unwrap().device().fail_now();
+        assert!(set.promote_row(next, &mut replay(primary.durability())).is_none());
+        let mut twin: Option<CpuTwin> = None;
+        let mut fallbacks = 0;
+        take_over(&mut primary, &mut next, 200, &mut |b| {
+            if let Some(engine) = gpu.as_mut() {
+                if let Ok(r) = engine.try_execute_batch_report(b) {
+                    return r.report;
+                }
+                fallbacks += 1;
+                let db = gpu.take().unwrap().into_database();
+                twin = Some(CpuTwin::new(db, LtpgConfig::default()));
+            }
+            let twin = twin.as_mut().unwrap();
+            let prepared = twin.prepare(b, None);
+            twin.finish(b, prepared, None).0
+        });
 
-        assert!(primary.is_degraded(), "second loss must degrade to the CPU fallback");
+        assert_eq!(fallbacks, 1, "second loss must degrade to the CPU fallback");
+        assert!(gpu.is_none());
         assert_eq!(
-            primary.database().state_digest(),
+            twin.unwrap().into_database().state_digest(),
             reference.database().state_digest()
         );
-        let reg = primary.telemetry();
+        assert_eq!(primary.telemetry().counter_value(names::REPLICA_PROMOTIONS), 1);
+    }
+
+    #[test]
+    fn recovered_device_reenlists_as_a_standby() {
+        let (db, txns) = db_and_writers(120, 6);
+        let mut primary = server(db, 16);
+        let reg = Arc::clone(primary.telemetry());
+        let mut set = standbys(&primary, 1, Arc::clone(&reg));
+        primary.submit_all(txns);
+        serve(&mut primary, &mut set, 1);
+        // The primary's device is lost at a boundary and the only standby
+        // is promoted in its place.
+        let lost = Arc::new(Device::new(LtpgConfig::default().device));
+        lost.fail_now();
+        let mut next = logged(&primary);
+        let (mut engines, _, _) =
+            set.promote_row(next, &mut replay(primary.durability())).expect("promotable");
+        assert_eq!(set.rows_alive(), 0);
+        assert_eq!(reg.gauge_value(names::REPLICA_STANDBYS), 0);
+        let engine = &mut engines[0];
+        take_over(&mut primary, &mut next, 2, &mut |b| {
+            engine.try_execute_batch_report(b).expect("promoted device is healthy").report
+        });
+        // Two batches later the device comes back and rejoins the pool as
+        // a fresh standby row over the current checkpoint.
+        lost.revive();
+        lost.reset_for_reuse();
+        set.spawn_row_with_device(
+            vec![primary.durability().checkpoint_image()],
+            primary.durability().checkpoint_batch(),
+            Arc::clone(&lost),
+        );
+        take_over(&mut primary, &mut next, 200, &mut |b| {
+            engine.try_execute_batch_report(b).expect("promoted device is healthy").report
+        });
+        set.observe(logged(&primary), &mut replay(primary.durability()));
+
         assert_eq!(reg.counter_value(names::REPLICA_PROMOTIONS), 1);
-        assert_eq!(reg.counter_value(names::FAULT_FALLBACK_ACTIVATIONS), 1);
+        assert_eq!(
+            reg.counter_value(names::REPLICA_REPROMOTIONS),
+            1,
+            "the revived device must have rejoined the pool as a standby"
+        );
+        assert_eq!(reg.gauge_value(names::REPLICA_STANDBYS), 1);
+        assert_eq!(set.lags(logged(&primary)), vec![(1, 0)], "the new row caught up");
+        let (revived, _, _) =
+            set.promote_row(next, &mut replay(primary.durability())).expect("promotable");
+        assert!(Arc::ptr_eq(&revived[0].device_handle(), &lost));
+        assert_eq!(
+            revived[0].database().state_digest(),
+            engine.database().state_digest(),
+            "the re-enlisted row replays to the serving state"
+        );
     }
 
     #[test]
     fn lagging_standby_catches_up_on_promotion() {
         let (db, txns) = db_and_writers(120, 7);
-        let mut reference = server(db.deep_clone(), 16);
-        reference.submit_all(txns.clone());
-        reference.drain(200);
-
         let mut primary = server(db, 16);
-        let mut set = ReplicaSet::new(
-            vec![primary.durability().checkpoint_image()],
-            primary.durability().checkpoint_batch(),
-            LtpgConfig::default(),
-            &ReplicaConfig { standbys: 1, ..ReplicaConfig::default() },
-            Arc::clone(primary.telemetry()),
-        );
+        let mut set = standbys(&primary, 1, Arc::clone(primary.telemetry()));
         set.inject_lag(0, 3); // chaos: hold the standby 3 batches behind
-        primary.attach_failover(Box::new(set));
         primary.submit_all(txns);
-        for _ in 0..5 {
-            primary.tick().unwrap();
-        }
+        serve(&mut primary, &mut set, 5);
         let reg = Arc::clone(primary.telemetry());
         let lag_before = reg.gauge_value(&names::replica_standby_lag_gauge(0));
         assert!(lag_before >= 3, "injected lag must show on the gauge, got {lag_before}");
-        primary.force_device_failure();
-        primary.drain(200);
-        assert!(!primary.is_degraded());
+        let catchup_before = reg.counter_value(names::REPLICA_CATCHUP_BATCHES);
+        let upto = primary.durability().logged_batches() as u64;
+        let (engines, _, _) =
+            set.promote_row(upto, &mut replay(primary.durability())).expect("promotable");
         assert_eq!(
+            engines[0].database().state_digest(),
             primary.database().state_digest(),
-            reference.database().state_digest(),
             "catch-up replay must close the injected gap exactly"
         );
-        assert!(reg.counter_value(names::REPLICA_CATCHUP_BATCHES) > 0);
+        assert_eq!(reg.counter_value(names::REPLICA_CATCHUP_BATCHES), catchup_before + 3);
     }
 
     #[test]
     fn standby_replay_tracks_the_log_and_lag_metrics_publish() {
         let (db, txns) = db_and_writers(64, 4);
         let mut primary = server(db, 16);
-        attach_standbys(&mut primary, 2);
+        let mut set = standbys(&primary, 2, Arc::clone(primary.telemetry()));
         primary.submit_all(txns);
-        primary.drain(100);
+        serve(&mut primary, &mut set, 100);
         let reg = primary.telemetry();
         assert_eq!(reg.gauge_value(names::REPLICA_STANDBYS), 2);
         assert_eq!(reg.gauge_value(&names::replica_standby_lag_gauge(0)), 0);
@@ -208,61 +341,29 @@ mod tests {
     }
 
     #[test]
-    fn recovered_device_reenlists_as_a_standby() {
-        let (db, txns) = db_and_writers(120, 6);
-        let mut primary = server(db, 16);
-        attach_standbys(&mut primary, 1);
-        primary.arm_replica_chaos(ltpg::ReplicaChaos {
-            device_recovers_after_batches: Some(2),
-            ..ltpg::ReplicaChaos::none()
-        });
-        primary.submit_all(txns);
-        primary.tick().unwrap();
-        primary.force_device_failure();
-        primary.drain(200);
-        assert!(!primary.is_degraded());
-        let reg = primary.telemetry();
-        assert_eq!(reg.counter_value(names::REPLICA_PROMOTIONS), 1);
-        assert_eq!(
-            reg.counter_value(names::REPLICA_REPROMOTIONS),
-            1,
-            "the revived device must have rejoined the pool as a standby"
-        );
-        assert_eq!(reg.gauge_value(names::REPLICA_STANDBYS), 1);
-    }
-
-    #[test]
     fn promote_row_prefers_the_freshest_row() {
         let (db, txns) = db_and_writers(64, 4);
         let mut primary = server(db, 16);
-        let mut set = ReplicaSet::new(
-            vec![primary.durability().checkpoint_image()],
-            primary.durability().checkpoint_batch(),
-            LtpgConfig::default(),
-            &ReplicaConfig { standbys: 2, ..ReplicaConfig::default() },
-            Registry::new_shared(),
-        );
+        let mut set = standbys(&primary, 2, Registry::new_shared());
         set.inject_lag(0, 100); // row 0 pinned at the checkpoint
         primary.submit_all(txns);
-        for _ in 0..3 {
-            primary.tick().unwrap();
-            set.after_batch(primary.durability());
-        }
+        serve(&mut primary, &mut set, 3);
         let lags = set.lags(primary.durability().logged_batches() as u64);
         assert!(lags.iter().any(|&(id, lag)| id == 0 && lag >= 3));
         assert!(lags.iter().any(|&(id, lag)| id == 1 && lag == 0));
         // Promotion picks row 1 (fresh) and costs zero catch-up batches
         // beyond the already-applied tail.
         let before = set.registry().counter_value(names::REPLICA_CATCHUP_BATCHES);
-        let _ = before;
         let upto = primary.durability().logged_batches() as u64;
-        let promoted =
-            FailoverProvider::promote(&mut set, primary.durability(), upto).expect("promotable");
+        let (engines, words, _) =
+            set.promote_row(upto, &mut replay(primary.durability())).expect("promotable");
         assert_eq!(
-            promoted.database().state_digest(),
+            engines[0].database().state_digest(),
             primary.database().state_digest(),
             "fresh standby is already bit-identical to the primary"
         );
+        assert_eq!(set.registry().counter_value(names::REPLICA_CATCHUP_BATCHES), before);
+        assert!(words.is_empty(), "nothing was replayed, so no words");
         assert_eq!(set.rows_alive(), 1, "the promoted row left the pool");
     }
 }

@@ -1,8 +1,8 @@
 //! Warm-standby pools replaying the deterministic commit stream.
 //!
 //! A [`ReplicaSet`] owns N *standby rows*. Each row is a complete replica
-//! of the serving topology: one [`LtpgEngine`] per shard (a single-device
-//! server is the one-shard case), built from the shards' checkpoint
+//! of the serving topology: one [`LtpgEngine`] per shard (a one-shard
+//! row backs a one-shard server), built from the shards' checkpoint
 //! images and advanced by replaying batch-id-aligned WAL records. Because
 //! LTPG's commit decision is a pure function of (snapshot, batch, TIDs),
 //! a row that has applied the same WAL prefix is bit-identical to the
@@ -10,35 +10,29 @@
 //! batch boundary.
 //!
 //! The set is deliberately ignorant of *how* a batch is applied: callers
-//! pass a [`ReplayDriver`] closure. The single-device driver decodes a
-//! WAL record and executes it on the row's lone engine; the sharded
-//! server supplies a joint lockstep driver that prepares every shard's
-//! sub-batch against a remote view of its row peers and merges conflict
-//! words, exactly mirroring primary execution. Keeping the driver outside
-//! the crate keeps the dependency arrow pointing the right way
-//! (`ltpg-shard` → `ltpg-replica` → `ltpg`).
+//! pass a [`ReplayDriver`] closure. The sharded server supplies one that
+//! runs its serving round over the row's engines — prepare every shard's
+//! sub-batch against a remote view of its row peers, merge conflict
+//! words, finish — exactly mirroring primary execution. Keeping the
+//! driver outside the crate keeps the dependency arrow pointing the right
+//! way (`ltpg-shard` → `ltpg-replica` → `ltpg`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ltpg::{DurabilityManager, FailoverProvider, LtpgConfig, LtpgEngine};
+use ltpg::{LtpgConfig, LtpgEngine};
 use ltpg_gpu_sim::{Device, DeviceError};
 use ltpg_storage::Database;
 use ltpg_telemetry::{names, Counter, Gauge, Histogram, Registry};
-use ltpg_txn::codec::decode_batch;
-use ltpg_txn::Batch;
 
 /// Merged per-transaction conflict-flag words produced by replaying one
-/// batch (TID → OR-merged flag word). Single-device drivers may return an
-/// empty map — the caller re-derives verdicts from its own report.
+/// batch (TID → OR-merged flag word).
 pub type MergedWords = BTreeMap<u64, u32>;
 
-/// Applies logged batch `batch_id` to a standby row's engines and returns
-/// the merged conflict-flag words. The slice always has one entry per
-/// shard; entries are `Option` so drivers can temporarily take an engine
-/// out while building remote views over its peers.
+/// Applies logged batch `batch_id` to a standby row's engines (one per
+/// shard) and returns the merged conflict-flag words.
 pub type ReplayDriver<'a> =
-    dyn FnMut(&mut [Option<LtpgEngine>], u64) -> Result<MergedWords, ReplicaError> + 'a;
+    dyn FnMut(&mut [LtpgEngine], u64) -> Result<MergedWords, ReplicaError> + 'a;
 
 /// Why a standby row could not apply a batch.
 #[derive(Debug)]
@@ -90,7 +84,7 @@ struct StandbyRow {
     /// position (rows are removed on promotion/death).
     id: usize,
     /// One engine per shard.
-    engines: Vec<Option<LtpgEngine>>,
+    engines: Vec<LtpgEngine>,
     /// Batches fully applied; the next batch to replay is `applied`.
     applied: u64,
     /// Injected lag: stay this many batches behind the tail during
@@ -100,7 +94,7 @@ struct StandbyRow {
     alive: bool,
 }
 
-/// A pool of warm standby rows for one server (single- or multi-shard).
+/// A pool of warm standby rows for one server.
 pub struct ReplicaSet {
     rows: Vec<StandbyRow>,
     next_row_id: usize,
@@ -172,11 +166,8 @@ impl ReplicaSet {
         let engines = images
             .into_iter()
             .map(|db| {
-                Some(LtpgEngine::with_telemetry(
-                    db,
-                    self.engine_cfg.clone(),
-                    Arc::clone(&self.standby_registry),
-                ))
+                let registry = Arc::clone(&self.standby_registry);
+                LtpgEngine::with_telemetry(db, self.engine_cfg.clone(), registry)
             })
             .collect();
         let id = self.next_row_id;
@@ -198,18 +189,18 @@ impl ReplicaSet {
         assert_eq!(images.len(), self.shards, "row shape must match the topology");
         let mut images = images.into_iter();
         let first = images.next().expect("at least one shard");
-        let mut engines: Vec<Option<LtpgEngine>> = vec![Some(LtpgEngine::with_device(
+        let mut engines = vec![LtpgEngine::with_device(
             first,
             self.engine_cfg.clone(),
             Arc::clone(&self.standby_registry),
             device,
-        ))];
+        )];
         for db in images {
-            engines.push(Some(LtpgEngine::with_telemetry(
+            engines.push(LtpgEngine::with_telemetry(
                 db,
                 self.engine_cfg.clone(),
                 Arc::clone(&self.standby_registry),
-            )));
+            ));
         }
         let id = self.next_row_id;
         self.next_row_id += 1;
@@ -256,7 +247,7 @@ impl ReplicaSet {
         key: i64,
     ) -> Option<(Vec<i64>, u64)> {
         let row = self.rows.iter().filter(|r| r.alive).max_by_key(|r| r.applied)?;
-        let engine = row.engines.get(shard)?.as_ref()?;
+        let engine = row.engines.get(shard)?;
         let db = ltpg_txn::BatchEngine::database(engine);
         let t = db.table(table);
         let rid = t.lookup(key)?;
@@ -306,15 +297,15 @@ impl ReplicaSet {
     /// Promote the freshest alive row: catch it up through batches
     /// `< upto` (ignoring any injected lag hold), remove it from the pool,
     /// and return its engines rebound to the serving registry, along with
-    /// the merged conflict words of the *last* replayed batch (`upto - 1`)
-    /// and the simulated ns the catch-up cost. Rows that die mid-catch-up
-    /// are demoted and the next-freshest row is tried. `None` when the
-    /// pool is exhausted.
+    /// the merged conflict words of the *last* replayed batch (`upto - 1`;
+    /// empty when the row had already applied it) and the simulated ns the
+    /// catch-up cost. Rows that die mid-catch-up are demoted and the
+    /// next-freshest row is tried. `None` when the pool is exhausted.
     pub fn promote_row(
         &mut self,
         upto: u64,
         driver: &mut ReplayDriver<'_>,
-    ) -> Option<(Vec<LtpgEngine>, Option<MergedWords>, f64)> {
+    ) -> Option<(Vec<LtpgEngine>, MergedWords, f64)> {
         loop {
             // Freshest first: least catch-up work, lowest failover latency.
             let candidate = self
@@ -325,20 +316,15 @@ impl ReplicaSet {
                 .max_by_key(|(_, r)| r.applied)
                 .map(|(i, _)| i)?;
             let mut row = self.rows.remove(candidate);
-            let before_ns: f64 = row
-                .engines
-                .iter()
-                .flatten()
-                .map(|e| e.device().elapsed_ns())
-                .sum();
-            let mut last_words = None;
+            let before_ns: f64 = row.engines.iter().map(|e| e.device().elapsed_ns()).sum();
+            let mut last_words = MergedWords::new();
             let mut died = false;
             while row.applied < upto {
                 match driver(&mut row.engines, row.applied) {
                     Ok(words) => {
                         row.applied += 1;
                         self.catchup_batches.inc();
-                        last_words = Some(words);
+                        last_words = words;
                     }
                     Err(_) => {
                         died = true;
@@ -351,20 +337,14 @@ impl ReplicaSet {
                 self.publish_pool_gauges();
                 continue;
             }
-            let after_ns: f64 =
-                row.engines.iter().flatten().map(|e| e.device().elapsed_ns()).sum();
+            let after_ns: f64 = row.engines.iter().map(|e| e.device().elapsed_ns()).sum();
             self.failover_ns.record_ns(after_ns - before_ns);
             self.promotions.inc();
             self.registry.gauge(&names::replica_standby_lag_gauge(row.id)).set(0);
-            let engines: Vec<LtpgEngine> = row
-                .engines
-                .into_iter()
-                .map(|e| {
-                    let mut e = e.expect("standby engine present");
-                    e.rebind_telemetry(Arc::clone(&self.registry));
-                    e
-                })
-                .collect();
+            let mut engines = row.engines;
+            for e in &mut engines {
+                e.rebind_telemetry(Arc::clone(&self.registry));
+            }
             self.publish_pool_gauges();
             return Some((engines, last_words, after_ns - before_ns));
         }
@@ -372,60 +352,5 @@ impl ReplicaSet {
 
     fn publish_pool_gauges(&self) {
         self.standbys_gauge.set(self.rows_alive() as i64);
-    }
-}
-
-/// Single-device replay: decode the WAL record and execute it on the
-/// row's lone engine. The standby's report is discarded — determinism
-/// guarantees it matches the primary's, and the promoted engine's state
-/// is what matters.
-fn single_device_driver(
-    dur: &DurabilityManager,
-) -> impl FnMut(&mut [Option<LtpgEngine>], u64) -> Result<MergedWords, ReplicaError> + '_ {
-    move |engines, batch_id| {
-        let record = dur
-            .log()
-            .fetch(batch_id)
-            .ok_or(ReplicaError::WalGap { batch_id })?;
-        let txns =
-            decode_batch(&record.payload).map_err(|e| ReplicaError::Corrupt(format!("{e:?}")))?;
-        let batch = Batch { txns };
-        let engine = engines[0].as_mut().expect("single-device row has one engine");
-        engine
-            .try_execute_batch_report(&batch)
-            .map_err(ReplicaError::Dead)?;
-        Ok(MergedWords::new())
-    }
-}
-
-/// The single-device server integration: a one-shard [`ReplicaSet`]
-/// plugs straight into [`ltpg::LtpgServer::attach_failover`].
-impl FailoverProvider for ReplicaSet {
-    fn after_batch(&mut self, dur: &DurabilityManager) {
-        assert_eq!(self.shards, 1, "multi-shard sets are driven by the sharded server");
-        let tail = dur.logged_batches() as u64;
-        let mut driver = single_device_driver(dur);
-        self.observe(tail, &mut driver);
-    }
-
-    fn standbys_available(&self) -> usize {
-        self.rows_alive()
-    }
-
-    fn promote(&mut self, dur: &DurabilityManager, upto: u64) -> Option<Box<LtpgEngine>> {
-        assert_eq!(self.shards, 1, "multi-shard sets are driven by the sharded server");
-        let mut driver = single_device_driver(dur);
-        let (mut engines, _, _) = self.promote_row(upto, &mut driver)?;
-        engines.pop().map(Box::new)
-    }
-
-    fn reenlist(&mut self, device: Arc<Device>, dur: &DurabilityManager) -> bool {
-        assert_eq!(self.shards, 1, "multi-shard sets are driven by the sharded server");
-        self.spawn_row_with_device(
-            vec![dur.checkpoint_image()],
-            dur.checkpoint_batch(),
-            device,
-        );
-        true
     }
 }

@@ -23,8 +23,9 @@
 //! * [`ShardedServer`] wraps the N engines behind submit/tick/drain, with
 //!   per-shard WALs + checkpoints (batch ids aligned across shards) and
 //!   per-shard fault injection: losing one device degrades only that
-//!   shard to the scoped CPU twin ([`ltpg::CpuTwin`]), rebuilt by joint
-//!   lockstep WAL replay, while the history stays bit-identical.
+//!   shard to the scoped CPU twin ([`ltpg::CpuTwin`]), rebuilt by
+//!   replaying the aligned WALs through the same prepare → merge → finish
+//!   round the live path runs, while the history stays bit-identical.
 //! * Topology is **elastic**: a [`RebalancePlan`] (range splits, merges,
 //!   moves, or wholesale rule swaps) validated against the live
 //!   [`Partitioner`] cuts over atomically at an aligned batch id — no
@@ -39,6 +40,8 @@
 //!   the next batch boundary; heartbeat monitors fence unresponsive
 //!   primaries, timed recoveries re-promote revived devices, and the CPU
 //!   twin remains the last-resort fallback when the pool is exhausted.
+//!   This is the only failover path; a one-shard server runs unscoped and
+//!   is the single-device case.
 //!
 //! See DESIGN.md ("Sharded execution") for the exactness argument and its
 //! one caveat (`LOG_FULL` capacity divergence).

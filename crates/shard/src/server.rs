@@ -22,31 +22,40 @@
 //!    TID order is the tie-break, as in Calvin-style deterministic
 //!    databases — but without pre-declared read/write sets.
 //!
-//! ## Degradation
+//! Steps 2–4 are one function, `run_round`, over the shards' [`Executor`]s.
+//! Live serving, CPU degradation replay and standby replay all run it, so
+//! the three can never decide differently.
 //!
-//! Device loss on any shard degrades *only that shard* to the scoped CPU
-//! twin ([`CpuTwin`]): the server rebuilds every shard's pre-batch
-//! state from its own checkpoint + WAL by a joint lockstep replay (the
-//! sub-batches were logged before execution, so the in-flight batch is
-//! replayed too), installs the CPU twin on the lost shard and fresh
-//! engines (replacement devices) on the healthy ones, and keeps serving.
-//! Determinism makes the hand-off invisible: the twin votes bit-identical
-//! flag words, so the merged history never changes — only that shard's
-//! simulated latency.
+//! ## Degradation and failover
+//!
+//! Device loss on any shard first tries to promote a warm standby row
+//! ([`attach_replicas`](ShardedServer::attach_replicas)): the row catches
+//! up by replaying the logged batches, the in-flight one included, and
+//! replaces every shard's engine at the batch boundary. Without a standby,
+//! only the lost shard degrades to the scoped CPU twin ([`CpuTwin`]): the
+//! server rebuilds every shard's state from its own checkpoint + WAL by
+//! replaying rounds on CPU twins (the sub-batches were logged before
+//! execution, so the in-flight batch is replayed too), installs the twin
+//! on the lost shard and fresh engines (replacement devices) on the
+//! healthy ones, and keeps serving. The in-flight batch is charged the
+//! replayed round's cost. Determinism makes the hand-off invisible: the
+//! twin votes bit-identical flag words, so the merged history never
+//! changes — only that shard's simulated latency. A one-shard server runs
+//! unscoped and is the single-device server with standbys.
 
+use std::borrow::BorrowMut;
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ltpg::{
-    commit_decision, CpuPrepared, CpuTwin, DurabilityManager, ExecScope, LtpgConfig, LtpgEngine,
-    PreparedBatch, PromotionCrashpoint, RecoveryError, ReplicaChaos, ServerConfig, ServerError,
+    commit_decision, AdmissionQueue, CpuTwin, DurabilityManager, ExecScope, Executor, LtpgConfig,
+    LtpgEngine, PromotionCrashpoint, RecoveryError, ReplicaChaos, ServerConfig, ServerError,
 };
 use ltpg_gpu_sim::{Device, DeviceError, DeviceFaultPlan};
 use ltpg_replica::{HealthMonitor, HealthVerdict, Heartbeat, MergedWords, ReplicaConfig, ReplicaError, ReplicaSet};
 use ltpg_storage::{Database, TableId};
 use ltpg_telemetry::{names, Registry};
-use ltpg_txn::{decode_batch, Batch, BatchEngine, CellStore, Tid, TidGen, Txn};
+use ltpg_txn::{decode_batch, Batch, CellStore, Tid, Txn};
 
 use crate::partition::Partitioner;
 use crate::rebalance::{plan_split, PlannerConfig, RebalanceError, RebalancePlan, RebalancePlanner};
@@ -54,7 +63,7 @@ use crate::remote::RemoteView;
 use crate::router::{Route, Router};
 
 /// Outcome of one [`ShardedServer::tick`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardedBatchSummary {
     /// TIDs committed by this batch (ascending).
     pub committed: Vec<Tid>,
@@ -113,76 +122,24 @@ impl ShardedStats {
     }
 }
 
-/// One shard: its executor, durability domain, and metrics registry.
+/// One shard's durability domain and metrics registry (its executor is
+/// `ShardedServer::execs[s]`, so a round can borrow every executor at
+/// once).
 struct Shard {
-    exec: ShardExec,
     durability: DurabilityManager,
     telemetry: Arc<Registry>,
-}
-
-impl Shard {
-    /// Whether this shard runs degraded on its CPU twin.
-    fn degraded(&self) -> bool {
-        matches!(self.exec, ShardExec::Cpu(_))
-    }
-}
-
-/// The executor currently serving a shard's sub-batches.
-enum ShardExec {
-    /// Normal operation: the shard's (simulated) GPU engine.
-    Gpu(Box<LtpgEngine>),
-    /// Degraded operation after this shard's device was lost.
-    Cpu(Box<CpuTwin>),
-}
-
-impl ShardExec {
-    fn database(&self) -> &Database {
-        match self {
-            ShardExec::Gpu(e) => e.database(),
-            ShardExec::Cpu(e) => e.database(),
-        }
-    }
-}
-
-/// Per-shard prepared state, GPU or CPU, with a uniform flag-word API.
-/// The GPU state is boxed: it carries the engine's recycled per-batch
-/// buffers and would otherwise dwarf the CPU variant.
-enum Prepared {
-    Gpu(Box<PreparedBatch>),
-    Cpu(CpuPrepared),
-}
-
-impl Prepared {
-    fn flag_word(&self, i: usize) -> u32 {
-        match self {
-            Prepared::Gpu(p) => p.flag_word(i),
-            Prepared::Cpu(p) => p.flag_word(i),
-        }
-    }
-    fn set_flag_word(&mut self, i: usize, word: u32) {
-        match self {
-            Prepared::Gpu(p) => p.set_flag_word(i, word),
-            Prepared::Cpu(p) => p.set_flag_word(i, word),
-        }
-    }
-    fn sim_ns(&self) -> f64 {
-        match self {
-            Prepared::Gpu(p) => p.sim_ns(),
-            Prepared::Cpu(p) => p.sim_ns(),
-        }
-    }
 }
 
 /// A batching OLTP server over N sharded [`LtpgEngine`]s with the
 /// deterministic no-2PC cross-shard commit protocol.
 pub struct ShardedServer {
+    /// Shard `s`'s executor: its GPU engine, or its CPU twin once degraded.
+    execs: Vec<Executor>,
     shards: Vec<Shard>,
     router: Router,
     cfg: ServerConfig,
     engine_cfg: LtpgConfig,
-    tids: TidGen,
-    inbox: VecDeque<Txn>,
-    requeue: VecDeque<Vec<Txn>>,
+    queue: AdmissionQueue,
     stats: ShardedStats,
     /// Server-level registry (`shard.*` metrics). Each shard additionally
     /// owns a private registry for its device/engine metrics.
@@ -199,8 +156,7 @@ pub struct ShardedServer {
     /// The most recently lost shard's physical device, kept for timed
     /// recovery re-enlistment, with the shard it served and the batch
     /// count at loss.
-    lost_device: Option<(usize, Arc<Device>)>,
-    lost_at_batch: Option<u64>,
+    lost_device: Option<(usize, Arc<Device>, u64)>,
     /// A validated topology change waiting for its cutover batch id,
     /// with the pre-built post-cutover partitioner.
     pending_rebalance: Option<(RebalancePlan, Partitioner)>,
@@ -224,7 +180,7 @@ impl ShardedServer {
         telemetry.counter(names::SHARD_CROSS_TXNS);
         telemetry.counter(names::SHARD_BROADCAST_TXNS);
         telemetry.gauge(names::SHARD_DEGRADED);
-        let shards = (0..n)
+        let (execs, shards) = (0..n)
             .map(|s| {
                 let slice = db.partition_clone(part.slice_pred(s));
                 let durability = DurabilityManager::new(&slice);
@@ -232,25 +188,18 @@ impl ShardedServer {
                 for name in names::FAULT_COUNTERS {
                     shard_reg.counter(name);
                 }
-                Shard {
-                    exec: ShardExec::Gpu(Box::new(LtpgEngine::with_telemetry(
-                        slice,
-                        engine_cfg.clone(),
-                        Arc::clone(&shard_reg),
-                    ))),
-                    durability,
-                    telemetry: shard_reg,
-                }
+                let engine =
+                    LtpgEngine::with_telemetry(slice, engine_cfg.clone(), Arc::clone(&shard_reg));
+                (Executor::gpu(Box::new(engine)), Shard { durability, telemetry: shard_reg })
             })
-            .collect();
+            .unzip();
         ShardedServer {
+            execs,
             shards,
             router: Router::new(part),
             cfg,
             engine_cfg,
-            tids: TidGen::new(),
-            inbox: VecDeque::new(),
-            requeue: VecDeque::new(),
+            queue: AdmissionQueue::default(),
             stats: ShardedStats::default(),
             telemetry,
             replicas: None,
@@ -258,7 +207,6 @@ impl ShardedServer {
             replica_chaos: ReplicaChaos::none(),
             tick_no: 0,
             lost_device: None,
-            lost_at_batch: None,
             pending_rebalance: None,
             planner: None,
             replica_cfg: None,
@@ -320,12 +268,12 @@ impl ShardedServer {
 
     /// Shard `s`'s live database slice.
     pub fn database(&self, s: u32) -> &Database {
-        self.shards[s as usize].exec.database()
+        self.execs[s as usize].database()
     }
 
     /// Whether shard `s` has degraded to its CPU twin.
     pub fn is_degraded(&self, s: u32) -> bool {
-        self.shards[s as usize].degraded()
+        self.execs[s as usize].is_cpu()
     }
 
     /// Cumulative statistics.
@@ -346,7 +294,7 @@ impl ShardedServer {
     /// Arm a deterministic fault schedule on shard `s`'s device. No-op if
     /// that shard is already degraded.
     pub fn arm_shard_faults(&self, s: u32, plan: DeviceFaultPlan) {
-        if let ShardExec::Gpu(engine) = &self.shards[s as usize].exec {
+        if let Some(engine) = self.execs[s as usize].engine() {
             engine.device().arm_faults(plan);
         }
     }
@@ -354,7 +302,7 @@ impl ShardedServer {
     /// Force shard `s`'s device into its failed state at the next batch
     /// boundary.
     pub fn force_shard_failure(&self, s: u32) {
-        if let ShardExec::Gpu(engine) = &self.shards[s as usize].exec {
+        if let Some(engine) = self.execs[s as usize].engine() {
             engine.device().fail_now();
         }
     }
@@ -362,7 +310,7 @@ impl ShardedServer {
     /// Enqueue one transaction.
     pub fn submit(&mut self, txn: Txn) {
         self.stats.admitted += 1;
-        self.inbox.push_back(txn);
+        self.queue.submit(txn);
     }
 
     /// Enqueue many transactions.
@@ -374,20 +322,19 @@ impl ShardedServer {
 
     /// Transactions waiting (fresh + re-queued).
     pub fn pending(&self) -> usize {
-        self.inbox.len() + self.requeue.iter().map(Vec::len).sum::<usize>()
+        self.queue.pending()
     }
 
-    /// Fresh submissions waiting in the inbox (excludes re-queued aborts
-    /// sitting out their retry delay).
+    /// Fresh submissions waiting in the inbox; see
+    /// [`AdmissionQueue::inbox_len`].
     pub fn inbox_len(&self) -> usize {
-        self.inbox.len()
+        self.queue.inbox_len()
     }
 
-    /// The TID the next fresh admission will receive at batch assembly.
-    /// Fresh TIDs are handed out in inbox FIFO order, so an ingestion layer
-    /// can mirror this counter to correlate commits with submissions.
+    /// The TID the next fresh admission will receive; see
+    /// [`AdmissionQueue::next_tid`].
     pub fn next_tid(&self) -> u64 {
-        self.tids.peek()
+        self.queue.next_tid()
     }
 
     /// Human-readable end-of-run summary.
@@ -423,7 +370,7 @@ impl ShardedServer {
     /// single authority for that number — degradation, re-promotion and
     /// failover all route through here so the two views cannot drift.
     fn refresh_degraded(&mut self) {
-        self.stats.degraded_shards = self.shards.iter().filter(|sh| sh.degraded()).count() as u32;
+        self.stats.degraded_shards = self.execs.iter().filter(|x| x.is_cpu()).count() as u32;
         self.telemetry.gauge(names::SHARD_DEGRADED).set(self.stats.degraded_shards as i64);
     }
 
@@ -490,7 +437,7 @@ impl ShardedServer {
         let Some(imb) = planner.observe(&loads) else { return };
         let cutover = self.shards[0].durability.logged_batches() as u64 + 1;
         let part = self.router.partitioner();
-        let db = self.shards[imb.hot as usize].exec.database();
+        let db = self.execs[imb.hot as usize].database();
         let Some(plan) = plan_split(part, db, imb.hot, imb.cold, cutover) else { return };
         if self.schedule_rebalance(plan).is_ok() {
             self.telemetry.counter(names::REBALANCE_PLANNER_EMITTED).inc();
@@ -518,14 +465,12 @@ impl ShardedServer {
         let new_slices: Vec<Database> = (0..n)
             .map(|s| {
                 let shard_id = s as u32;
-                let base = self.shards[s]
-                    .exec
-                    .database()
-                    .partition_clone(new_part.slice_pred(shard_id));
-                for (r, sh) in self.shards.iter().enumerate() {
+                let base =
+                    self.execs[s].database().partition_clone(new_part.slice_pred(shard_id));
+                for (r, exec) in self.execs.iter().enumerate() {
                     if r != s {
                         migrated +=
-                            base.absorb_rows(sh.exec.database(), new_part.slice_pred(shard_id));
+                            base.absorb_rows(exec.database(), new_part.slice_pred(shard_id));
                     }
                 }
                 base
@@ -536,12 +481,12 @@ impl ShardedServer {
             // failover catch-up start from post-cutover images and never
             // span the rule change.
             self.shards[s].durability.checkpoint(&slice);
-            self.shards[s].exec = if self.shards[s].degraded() {
-                ShardExec::Cpu(Box::new(CpuTwin::new(slice, self.engine_cfg.clone())))
+            self.execs[s] = if self.execs[s].is_cpu() {
+                Executor::cpu(CpuTwin::new(slice, self.engine_cfg.clone()))
             } else {
                 // Fresh engines over the new slices (fault plans armed on
                 // the old devices are not carried over, as in degradation).
-                ShardExec::Gpu(Box::new(LtpgEngine::with_telemetry(
+                Executor::gpu(Box::new(LtpgEngine::with_telemetry(
                     slice,
                     self.engine_cfg.clone(),
                     Arc::clone(&self.shards[s].telemetry),
@@ -610,125 +555,59 @@ impl ShardedServer {
         (subs.into_iter().map(|txns| Batch { txns }).collect(), (single, multi, broadcast))
     }
 
-    /// Prepare shard `s`'s sub-batch, retrying transient upload faults
-    /// with exponential backoff. `None` means the shard's device is lost
-    /// (or hopelessly flaky) and the caller must degrade.
-    fn prepare_shard(&mut self, s: usize, sub: &Batch, backoff_ns: &mut f64) -> Option<Prepared> {
-        let part = self.router.partitioner();
-        let cfg = &self.cfg;
-        let (shard, peers) = split_peers(&mut self.shards, s, |sh| Some(sh.exec.database()));
-        let Shard { exec, telemetry, .. } = shard;
-        with_scope(part, s, Some(peers), |scope| match exec {
-            ShardExec::Gpu(e) => {
-                let mut attempt = 0u32;
-                loop {
-                    match e.try_prepare_batch(sub, scope) {
-                        Ok(p) => break Some(Prepared::Gpu(Box::new(p))),
-                        Err(DeviceError::TransientTransfer { .. })
-                            if attempt < cfg.max_transient_retries =>
-                        {
-                            attempt += 1;
-                            telemetry.counter(names::FAULT_TRANSIENT_RETRIES).inc();
-                            let pause =
-                                cfg.retry_backoff_ns * 2f64.powi((attempt - 1).min(30) as i32);
-                            *backoff_ns += pause;
-                            telemetry.counter(names::FAULT_BACKOFF_NS).add(pause.round() as u64);
-                        }
-                        Err(_) => break None,
-                    }
-                }
-            }
-            ShardExec::Cpu(e) => Some(Prepared::Cpu(e.prepare(sub, scope))),
-        })
-    }
-
-    /// Finish shard `s`'s sub-batch with merged flag words, returning the
-    /// finish sim-ns. `None` means the device died mid-finish and the
-    /// caller must degrade.
-    fn finish_shard(&mut self, s: usize, sub: &Batch, prepared: Prepared) -> Option<f64> {
-        let part = self.router.partitioner();
-        let exec = &mut self.shards[s].exec;
-        // Finish never reads remote rows (write-back applies only owned
-        // mutations), so the scope carries no remote view.
-        with_scope(part, s, None, |scope| match (exec, prepared) {
-            (ShardExec::Gpu(e), Prepared::Gpu(p)) => {
-                let prep_ns = p.sim_ns();
-                e.try_finish_batch(sub, *p, scope).ok().map(|r| r.stats.total_ns() - prep_ns)
-            }
-            (ShardExec::Cpu(e), Prepared::Cpu(p)) => Some(e.finish(p, scope).1),
-            _ => unreachable!("prepared state does not match the shard executor"),
-        })
-    }
-
-    /// Degrade after shard `failed` lost its device: rebuild every shard's
-    /// state from its checkpoint + WAL by joint lockstep replay (the
-    /// in-flight batch was logged before execution, so it is replayed
-    /// too), install the CPU twin on the failed shard and fresh engines
-    /// (replacement devices) on the healthy ones, and return the merged
-    /// flag words of the final (in-flight) replayed batch by TID.
-    fn degrade_and_replay(&mut self, failed: usize) -> Result<BTreeMap<u64, u32>, ServerError> {
-        let n = self.shards.len();
-        let mut twins: Vec<CpuTwin> = self
+    /// Rebuild every shard's slice on a CPU twin from its checkpoint + WAL,
+    /// one [`run_round`] per logged batch (checkpoints are joint, so every
+    /// shard replays the same id range, the in-flight batch included: it
+    /// was logged before execution). Returns the twins and the last
+    /// replayed round (empty when nothing was logged since the checkpoint).
+    fn replay_on_twins(&self) -> Result<(Vec<Executor>, Round), RecoveryError> {
+        let cfg = &self.engine_cfg;
+        let mut twins: Vec<Executor> = self
             .shards
             .iter()
-            .map(|sh| CpuTwin::new(sh.durability.checkpoint_image(), self.engine_cfg.clone()))
+            .map(|sh| Executor::cpu(CpuTwin::new(sh.durability.checkpoint_image(), cfg.clone())))
             .collect();
-        // Checkpoints are taken jointly (same tick on every shard), so
-        // every shard replays the same id range.
         let start = self.shards[0].durability.checkpoint_batch();
         let end = self.shards[0].durability.logged_batches() as u64;
-        let part = self.router.partitioner();
-        let mut last_merged: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut last = Round::default();
         for b in start..end {
-            let mut subs: Vec<Batch> = Vec::with_capacity(n);
-            for sh in &self.shards {
-                let rec = sh
-                    .durability
-                    .log()
-                    .fetch(b)
-                    .ok_or(ServerError::DegradationFailed(RecoveryError::MissingBatch(b)))?;
-                let txns = decode_batch(&rec.payload)
-                    .map_err(|e| ServerError::DegradationFailed(RecoveryError::Corrupt(e)))?;
-                subs.push(Batch { txns });
-            }
-            let mut prepared: Vec<Option<CpuPrepared>> = Vec::with_capacity(n);
-            for (s, sub) in subs.iter().enumerate() {
-                if sub.txns.is_empty() {
-                    prepared.push(None);
-                    continue;
-                }
-                let (twin, peers) = split_peers(&mut twins, s, |t| Some(t.database()));
-                prepared.push(Some(with_scope(part, s, Some(peers), |scope| twin.prepare(sub, scope))));
-            }
-            let mut merged: BTreeMap<u64, u32> = BTreeMap::new();
-            for (s, p) in prepared.iter().enumerate() {
-                let Some(p) = p else { continue };
-                for (j, txn) in subs[s].txns.iter().enumerate() {
-                    *merged.entry(txn.tid.0).or_insert(0) |= p.flag_word(j);
-                }
-            }
-            for (s, p) in prepared.into_iter().enumerate() {
-                let Some(mut p) = p else { continue };
-                for (j, txn) in subs[s].txns.iter().enumerate() {
-                    p.set_flag_word(j, merged[&txn.tid.0]);
-                }
-                let twin = &mut twins[s];
-                with_scope(part, s, None, |scope| twin.finish(p, scope));
-            }
-            last_merged = merged;
+            let subs = logged_subs(&self.shards, b)?;
+            // Invariant: a CPU twin has no device to lose.
+            last = run_round(&mut twins, &subs, self.router.partitioner(), &self.cfg, &mut 0.0)
+                .unwrap_or_else(|(s, e)| unreachable!("CPU twin {s} reported {e}"));
         }
-        for (s, (shard, twin)) in self.shards.iter_mut().zip(twins).enumerate() {
+        Ok((twins, last))
+    }
+
+    /// Rebuild every shard's slice from its checkpoint + WAL (what a
+    /// restarted cluster would do), one slice per shard. The server keeps
+    /// running; this is a read-only operation on the durability state —
+    /// the sharded counterpart of `LtpgServer::simulate_recovery`.
+    pub fn simulate_recovery(&self) -> Result<Vec<Database>, RecoveryError> {
+        let (twins, _) = self.replay_on_twins()?;
+        Ok(twins.into_iter().map(Executor::into_database).collect())
+    }
+
+    /// Degrade after shard `failed` lost its device: rebuild every shard
+    /// on CPU twins ([`replay_on_twins`](Self::replay_on_twins)), install
+    /// the twin on the failed shard and fresh engines (replacement devices)
+    /// on the healthy ones, and return the last replayed round — the
+    /// in-flight batch's verdicts and cost.
+    fn degrade_and_replay(&mut self, failed: usize) -> Result<Round, ServerError> {
+        let (twins, last) = self.replay_on_twins().map_err(ServerError::DegradationFailed)?;
+        for (s, twin) in twins.into_iter().enumerate() {
+            let shard = &self.shards[s];
             if s == failed {
                 shard.telemetry.counter(names::FAULT_FALLBACK_ACTIVATIONS).inc();
-                shard.exec = ShardExec::Cpu(Box::new(twin));
-            } else if shard.degraded() {
+                self.execs[s] = twin;
+            } else if self.execs[s].is_cpu() {
                 // Already on the CPU twin before this fault; stay there.
-                shard.exec = ShardExec::Cpu(Box::new(twin));
+                self.execs[s] = twin;
             } else {
                 // A healthy shard gets a replacement device over the
                 // replayed state (fault plans armed on the old device are
                 // not carried over).
-                shard.exec = ShardExec::Gpu(Box::new(LtpgEngine::with_telemetry(
+                self.execs[s] = Executor::gpu(Box::new(LtpgEngine::with_telemetry(
                     twin.into_database(),
                     self.engine_cfg.clone(),
                     Arc::clone(&shard.telemetry),
@@ -736,27 +615,43 @@ impl ShardedServer {
             }
         }
         self.refresh_degraded();
-        Ok(last_merged)
+        Ok(last)
+    }
+
+    /// Shard `failed` lost its device mid-batch. The failed prepare mutated
+    /// nothing, and a mid-finish loss is rebuilt from the WAL anyway:
+    /// either promote a standby row, whose catch-up replays the in-flight
+    /// batch (failover latency is charged by
+    /// [`try_promote_row`](Self::try_promote_row)), or, with the pool
+    /// exhausted, degrade onto the CPU twins. Either way the verdicts come
+    /// from a replayed round of the same WAL.
+    fn recover_in_flight(&mut self, failed: usize) -> Result<Round, ServerError> {
+        self.note_device_loss(failed);
+        let upto = self.shards[0].durability.logged_batches() as u64;
+        match self.try_promote_row(upto)? {
+            Some(merged) => Ok(Round { merged, ..Round::default() }),
+            None => self.degrade_and_replay(failed),
+        }
     }
 
     /// Remember shard `failed`'s physical device so a later timed
     /// recovery ([`ReplicaChaos::device_recovers_after_batches`]) can
     /// revive and re-enlist it.
     fn note_device_loss(&mut self, failed: usize) {
-        if let ShardExec::Gpu(e) = &self.shards[failed].exec {
-            self.lost_device = Some((failed, e.device_handle()));
-            self.lost_at_batch = Some(self.stats.batches);
+        if let Some(e) = self.execs[failed].engine() {
+            self.lost_device = Some((failed, e.device_handle(), self.stats.batches));
         }
     }
 
     /// Promote the freshest standby row onto every shard, catching it up
     /// through batches `< upto`. Returns the merged conflict words of the
-    /// last replayed batch (`upto - 1`) on success, or `None` when no
-    /// pool is attached / the pool is exhausted — the caller then falls
-    /// back to CPU degradation. Promotion crashpoints surface as
-    /// [`ServerError::InjectedCrash`] ("process death" mid-cutover); the
-    /// WAL already holds everything needed to recover.
-    fn try_promote_row(&mut self, upto: u64) -> Result<Option<Option<MergedWords>>, ServerError> {
+    /// last replayed batch (`upto - 1`; empty when the row was already
+    /// there) on success, or `None` when no pool is attached / the pool
+    /// is exhausted — the caller then falls back to CPU degradation.
+    /// Promotion crashpoints surface as [`ServerError::InjectedCrash`]
+    /// ("process death" mid-cutover); the WAL already holds everything
+    /// needed to recover.
+    fn try_promote_row(&mut self, upto: u64) -> Result<Option<MergedWords>, ServerError> {
         let Some(mut set) = self.replicas.take() else { return Ok(None) };
         if set.rows_alive() == 0 {
             self.replicas = Some(set);
@@ -768,7 +663,10 @@ impl ShardedServer {
                 return Err(ServerError::InjectedCrash("promotion:before-catchup"));
             }
             Some(PromotionCrashpoint::AfterCatchup) => {
-                let mut driver = joint_replay_driver(&self.shards, &self.router);
+                // Let the standby do its catch-up replay, then die before
+                // it serves a single batch: all that work must be
+                // recoverable from the WAL alone.
+                let mut driver = joint_replay_driver(&self.shards, &self.router, &self.cfg);
                 let _ = set.promote_row(upto, &mut driver);
                 self.replicas = Some(set);
                 return Err(ServerError::InjectedCrash("promotion:after-catchup"));
@@ -776,14 +674,14 @@ impl ShardedServer {
             None => {}
         }
         let result = {
-            let mut driver = joint_replay_driver(&self.shards, &self.router);
+            let mut driver = joint_replay_driver(&self.shards, &self.router, &self.cfg);
             set.promote_row(upto, &mut driver)
         };
         self.replicas = Some(set);
         let Some((engines, last_words, ns)) = result else { return Ok(None) };
         for (s, mut engine) in engines.into_iter().enumerate() {
             engine.rebind_telemetry(Arc::clone(&self.shards[s].telemetry));
-            self.shards[s].exec = ShardExec::Gpu(Box::new(engine));
+            self.execs[s] = Executor::gpu(Box::new(engine));
         }
         // The promoted row replaces the whole topology with healthy GPU
         // engines, so any CPU-degraded shard is healed by the cutover.
@@ -807,12 +705,12 @@ impl ShardedServer {
         self.tick_no += 1;
         let dropped = self.replica_chaos.heartbeat_drop_ticks.contains(&tick);
         let mut fenced = None;
-        for (s, sh) in self.shards.iter().enumerate() {
-            let beat = match &sh.exec {
-                ShardExec::Gpu(e) if e.device().is_failed() => Heartbeat::Dead,
-                ShardExec::Gpu(_) if dropped => Heartbeat::Dropped,
-                ShardExec::Gpu(_) => Heartbeat::Alive,
-                _ => continue,
+        for (s, exec) in self.execs.iter().enumerate() {
+            let beat = match exec.engine() {
+                Some(e) if e.device().is_failed() => Heartbeat::Dead,
+                Some(_) if dropped => Heartbeat::Dropped,
+                Some(_) => Heartbeat::Alive,
+                None => continue,
             };
             if self.monitors[s].observe(beat) == HealthVerdict::Failed && fenced.is_none() {
                 fenced = Some(s);
@@ -822,10 +720,8 @@ impl ShardedServer {
         // A Dead fence means the device is really gone: stash it for
         // timed-recovery re-enlistment. A Dropped fence is a (safe) false
         // positive — the healthy device is discarded, not stashed.
-        if let ShardExec::Gpu(e) = &self.shards[s].exec {
-            if e.device().is_failed() {
-                self.note_device_loss(s);
-            }
+        if self.execs[s].engine().is_some_and(|e| e.device().is_failed()) {
+            self.note_device_loss(s);
         }
         let upto = self.shards[0].durability.logged_batches() as u64;
         if self.try_promote_row(upto)?.is_none() {
@@ -842,29 +738,21 @@ impl ShardedServer {
     /// if a failover already healed the topology.
     fn maybe_rejoin_recovered_device(&mut self) {
         let Some(after) = self.replica_chaos.device_recovers_after_batches else { return };
-        let Some(lost_at) = self.lost_at_batch else { return };
-        if self.stats.batches < lost_at.saturating_add(after) {
-            return;
-        }
-        let Some((s, device)) = self.lost_device.take() else { return };
-        self.lost_at_batch = None;
+        let batches = self.stats.batches;
+        let recovered = self.lost_device.take_if(|(_, _, at)| batches >= at.saturating_add(after));
+        let Some((s, device, _)) = recovered else { return };
         device.revive();
         device.reset_for_reuse();
-        let shard = &mut self.shards[s];
-        if let ShardExec::Cpu(twin) = &mut shard.exec {
-            let db = twin.take_database();
-            shard.exec = ShardExec::Gpu(Box::new(LtpgEngine::with_device(
-                db,
-                self.engine_cfg.clone(),
-                Arc::clone(&shard.telemetry),
-                device,
-            )));
+        let telemetry = &self.shards[s].telemetry;
+        let Some(device) = self.execs[s].repromote(device, &self.engine_cfg, telemetry) else {
             self.refresh_degraded();
             self.telemetry.counter(names::REPLICA_REPROMOTIONS).inc();
             if let Some(m) = self.monitors.get_mut(s) {
                 m.reset();
             }
-        } else if let Some(set) = &mut self.replicas {
+            return;
+        };
+        if let Some(set) = &mut self.replicas {
             let images: Vec<Database> =
                 self.shards.iter().map(|sh| sh.durability.checkpoint_image()).collect();
             let base = self.shards[0].durability.checkpoint_batch();
@@ -878,7 +766,7 @@ impl ShardedServer {
         let Some(mut set) = self.replicas.take() else { return };
         let tail = self.shards[0].durability.logged_batches() as u64;
         {
-            let mut driver = joint_replay_driver(&self.shards, &self.router);
+            let mut driver = joint_replay_driver(&self.shards, &self.router, &self.cfg);
             set.observe(tail, &mut driver);
         }
         self.replicas = Some(set);
@@ -908,26 +796,9 @@ impl ShardedServer {
         // The cutover barrier: a scheduled plan whose batch id has
         // arrived re-slices the topology before the next batch forms.
         self.maybe_apply_rebalance();
-        let due = self.requeue.pop_front().unwrap_or_default();
-        if due.is_empty() && self.inbox.is_empty() {
-            if self.requeue.iter().all(Vec::is_empty) {
-                return Ok(None);
-            }
-            return Ok(Some(ShardedBatchSummary {
-                committed: Vec::new(),
-                aborted: Vec::new(),
-                sim_ns: 0.0,
-                flag_words: BTreeMap::new(),
-            }));
-        }
-        let mut fresh = Vec::new();
-        while fresh.len() + due.len() < self.cfg.batch_size {
-            match self.inbox.pop_front() {
-                Some(t) => fresh.push(t),
-                None => break,
-            }
-        }
-        let batch = Batch::assemble(due, fresh, &mut self.tids);
+        let Some(batch) = self.queue.next_batch(self.cfg.batch_size) else {
+            return Ok((self.queue.pending() > 0).then(ShardedBatchSummary::default));
+        };
         let (subs, (single, multi, broadcast)) = self.split_batch(&batch);
         self.telemetry.counter(names::SHARD_SINGLE_TXNS).add(single);
         self.telemetry.counter(names::SHARD_CROSS_TXNS).add(multi);
@@ -941,93 +812,24 @@ impl ShardedServer {
             self.shards[s].durability.log_batch(sub);
         }
 
-        // ---- Prepare on every participant; merge; finish. ----
         let mut backoff_ns = 0.0;
-        let n = self.shards.len();
-        let mut prepared: Vec<Option<Prepared>> = Vec::with_capacity(n);
-        let mut lost: Option<usize> = None;
-        for (s, sub) in subs.iter().enumerate() {
-            if sub.txns.is_empty() {
-                prepared.push(None);
-                continue;
-            }
-            match self.prepare_shard(s, sub, &mut backoff_ns) {
-                Some(p) => prepared.push(Some(p)),
-                None => {
-                    lost = Some(s);
-                    break;
+        let part = self.router.partitioner();
+        let round = match run_round(&mut self.execs, &subs, part, &self.cfg, &mut backoff_ns) {
+            Ok(round) => {
+                // Merge barrier: every participant waits for the slowest
+                // prepare before its verdicts are complete.
+                let max_prep = round.max_prep_ns();
+                for &ns in &round.prep_ns {
+                    let stall = max_prep - ns;
+                    self.stats.merge_stall_ns += stall;
+                    self.telemetry.histogram(names::SHARD_MERGE_STALL_NS).record_ns(stall);
                 }
+                round
             }
-        }
-        let (merged, sim_ns) = if let Some(failed) = lost {
-            // The failed prepare mutated nothing. Preferred path: promote
-            // a standby row — the in-flight batch was logged before
-            // execution, so the promotion catch-up replays it and its
-            // merged words stand in for the lost prepare. Exhausted pool:
-            // rebuild everything from the logs on the CPU twins. Either
-            // way the verdicts come from a replay of the same WAL.
-            // Simulated cost: failover latency is accounted by
-            // `try_promote_row`; charge only backoff here.
-            self.note_device_loss(failed);
-            let upto = self.shards[0].durability.logged_batches() as u64;
-            match self.try_promote_row(upto)? {
-                Some(words) => {
-                    let words =
-                        words.expect("mid-batch failover must replay the in-flight batch");
-                    (words, backoff_ns)
-                }
-                None => (self.degrade_and_replay(failed)?, backoff_ns),
-            }
-        } else {
-            let mut merged: BTreeMap<u64, u32> = BTreeMap::new();
-            for (s, p) in prepared.iter().enumerate() {
-                let Some(p) = p else { continue };
-                for (j, txn) in subs[s].txns.iter().enumerate() {
-                    *merged.entry(txn.tid.0).or_insert(0) |= p.flag_word(j);
-                }
-            }
-            // Merge barrier: every participant waits for the slowest
-            // prepare before its verdicts are complete.
-            let max_prep =
-                prepared.iter().flatten().map(Prepared::sim_ns).fold(0.0f64, f64::max);
-            for p in prepared.iter().flatten() {
-                let stall = max_prep - p.sim_ns();
-                self.stats.merge_stall_ns += stall;
-                self.telemetry.histogram(names::SHARD_MERGE_STALL_NS).record_ns(stall);
-            }
-            let mut max_finish = 0.0f64;
-            let mut finish_lost: Option<usize> = None;
-            for (s, slot) in prepared.iter_mut().enumerate() {
-                let Some(mut p) = slot.take() else { continue };
-                for (j, txn) in subs[s].txns.iter().enumerate() {
-                    p.set_flag_word(j, merged[&txn.tid.0]);
-                }
-                match self.finish_shard(s, &subs[s], p) {
-                    Some(ns) => max_finish = max_finish.max(ns),
-                    None => {
-                        finish_lost = Some(s);
-                        break;
-                    }
-                }
-            }
-            if let Some(failed) = finish_lost {
-                // Mid-finish loss may have left this shard's slice partly
-                // written; both recovery paths rebuild every shard from
-                // the WAL, which re-derives the same merged verdicts.
-                self.note_device_loss(failed);
-                let upto = self.shards[0].durability.logged_batches() as u64;
-                match self.try_promote_row(upto)? {
-                    Some(words) => {
-                        let words =
-                            words.expect("mid-batch failover must replay the in-flight batch");
-                        (words, backoff_ns)
-                    }
-                    None => (self.degrade_and_replay(failed)?, backoff_ns),
-                }
-            } else {
-                (merged, max_prep + max_finish + backoff_ns)
-            }
+            Err((failed, _)) => self.recover_in_flight(failed)?,
         };
+        let sim_ns = round.sim_ns() + backoff_ns;
+        let merged = round.merged;
 
         // ---- Global commit decisions from the merged words. ----
         let reordering = self.engine_cfg.opts.logical_reordering;
@@ -1052,24 +854,12 @@ impl ShardedServer {
         self.replicate_tail();
         if let Some(every) = self.cfg.checkpoint_every {
             if self.stats.batches.is_multiple_of(every as u64) {
-                for sh in &mut self.shards {
-                    let db = sh.exec.database();
-                    sh.durability.checkpoint(db);
+                for (sh, exec) in self.shards.iter_mut().zip(&self.execs) {
+                    sh.durability.checkpoint(exec.database());
                 }
             }
         }
-
-        if !aborted.is_empty() {
-            let delay = if self.cfg.pipelined { 2 } else { 1 };
-            while self.requeue.len() < delay {
-                self.requeue.push_back(Vec::new());
-            }
-            let retry: Vec<Txn> = aborted
-                .iter()
-                .map(|tid| batch.by_tid(*tid).expect("aborted tid in batch").clone())
-                .collect();
-            self.requeue[delay - 1].extend(retry);
-        }
+        self.queue.requeue(&batch, &aborted, self.cfg.pipelined);
         Ok(Some(ShardedBatchSummary { committed, aborted, sim_ns, flag_words: merged }))
     }
 
@@ -1085,58 +875,105 @@ impl ShardedServer {
     }
 }
 
+/// The outcome of one [`run_round`].
+#[derive(Default)]
+struct Round {
+    /// OR-merged conflict-flag word per transaction, by TID.
+    merged: MergedWords,
+    /// Simulated prepare ns of every participant shard.
+    prep_ns: Vec<f64>,
+    /// The slowest participant's simulated finish ns.
+    max_finish_ns: f64,
+}
+
+impl Round {
+    fn max_prep_ns(&self) -> f64 {
+        self.prep_ns.iter().copied().fold(0.0f64, f64::max)
+    }
+
+    /// The round's critical path: slowest prepare (the merge barrier) plus
+    /// slowest finish.
+    fn sim_ns(&self) -> f64 {
+        self.max_prep_ns() + self.max_finish_ns
+    }
+}
+
+/// One deterministic round of the cross-shard protocol over a topology's
+/// executors (`subs[s]` is shard `s`'s sub-batch): prepare every
+/// participant against a remote view of its peers' snapshots, OR-merge
+/// the per-shard conflict-flag words, hand the merged words back, and
+/// finish. Live serving, CPU degradation replay and standby replay all
+/// run this one function. `Err((s, e))` names the shard whose device
+/// failed; earlier shards may already have finished.
+fn run_round<G: BorrowMut<LtpgEngine>>(
+    execs: &mut [Executor<G>],
+    subs: &[Batch],
+    part: &Partitioner,
+    cfg: &ServerConfig,
+    backoff_ns: &mut f64,
+) -> Result<Round, (usize, DeviceError)> {
+    let mut round = Round::default();
+    for (s, sub) in subs.iter().enumerate() {
+        if sub.txns.is_empty() {
+            continue;
+        }
+        let (exec, peers) = split_peers(execs, s, |x| Some(x.database()));
+        let ns = with_scope(part, s, Some(peers), |scope| exec.prepare(sub, scope, cfg, backoff_ns))
+            .map_err(|e| (s, e))?;
+        round.prep_ns.push(ns);
+    }
+    for (exec, sub) in execs.iter().zip(subs) {
+        for (j, txn) in sub.txns.iter().enumerate() {
+            *round.merged.entry(txn.tid.0).or_insert(0) |= exec.flag_word(j);
+        }
+    }
+    for (s, (exec, sub)) in execs.iter_mut().zip(subs).enumerate() {
+        if sub.txns.is_empty() {
+            continue;
+        }
+        for (j, txn) in sub.txns.iter().enumerate() {
+            exec.set_flag_word(j, round.merged[&txn.tid.0]);
+        }
+        // Finish never reads remote rows (write-back applies only owned
+        // mutations), so the scope carries no remote view.
+        let (_, ns) =
+            with_scope(part, s, None, |scope| exec.finish(sub, scope)).map_err(|e| (s, e))?;
+        round.max_finish_ns = round.max_finish_ns.max(ns);
+    }
+    Ok(round)
+}
+
+/// Every shard's logged sub-batch of global batch `b`.
+fn logged_subs(shards: &[Shard], b: u64) -> Result<Vec<Batch>, RecoveryError> {
+    shards
+        .iter()
+        .map(|sh| {
+            let rec = sh.durability.log().fetch(b).ok_or(RecoveryError::MissingBatch(b))?;
+            let txns = decode_batch(&rec.payload).map_err(RecoveryError::Corrupt)?;
+            Ok(Batch { txns })
+        })
+        .collect()
+}
+
 /// The sharded [`ltpg_replica::ReplayDriver`]: apply logged batch
-/// `batch_id` to one standby row by the exact primary protocol — fetch
-/// every shard's sub-batch from its WAL, prepare each engine against a
-/// remote view of its row peers, OR-merge the conflict-flag words, and
-/// finish with the merged words. Determinism makes the row bit-identical
-/// to the primaries after every batch.
+/// `batch_id` to one standby row by the exact primary protocol — one
+/// [`run_round`] over the row's engines. Determinism makes the row
+/// bit-identical to the primaries after every batch.
 fn joint_replay_driver<'a>(
     shards: &'a [Shard],
     router: &'a Router,
-) -> impl FnMut(&mut [Option<LtpgEngine>], u64) -> Result<MergedWords, ReplicaError> + 'a {
+    cfg: &'a ServerConfig,
+) -> impl FnMut(&mut [LtpgEngine], u64) -> Result<MergedWords, ReplicaError> + 'a {
     move |engines, batch_id| {
-        let n = shards.len();
-        let part = router.partitioner();
-        let mut subs: Vec<Batch> = Vec::with_capacity(n);
-        for sh in shards {
-            let rec = sh
-                .durability
-                .log()
-                .fetch(batch_id)
-                .ok_or(ReplicaError::WalGap { batch_id })?;
-            let txns = decode_batch(&rec.payload)
-                .map_err(|e| ReplicaError::Corrupt(format!("{e:?}")))?;
-            subs.push(Batch { txns });
-        }
-        let mut prepared: Vec<Option<PreparedBatch>> = Vec::with_capacity(n);
-        for (s, sub) in subs.iter().enumerate() {
-            if sub.txns.is_empty() {
-                prepared.push(None);
-                continue;
-            }
-            let (own, peers) = split_peers(engines, s, |e| e.as_ref().map(LtpgEngine::database));
-            let engine = own.as_mut().expect("standby engine present");
-            let result = with_scope(part, s, Some(peers), |scope| engine.try_prepare_batch(sub, scope));
-            prepared.push(Some(result.map_err(ReplicaError::Dead)?));
-        }
-        let mut merged: MergedWords = BTreeMap::new();
-        for (s, p) in prepared.iter().enumerate() {
-            let Some(p) = p else { continue };
-            for (j, txn) in subs[s].txns.iter().enumerate() {
-                *merged.entry(txn.tid.0).or_insert(0) |= p.flag_word(j);
-            }
-        }
-        for (s, p) in prepared.into_iter().enumerate() {
-            let Some(p) = p else { continue };
-            for (j, txn) in subs[s].txns.iter().enumerate() {
-                p.set_flag_word(j, merged[&txn.tid.0]);
-            }
-            let engine = engines[s].as_mut().expect("standby engine present");
-            with_scope(part, s, None, |scope| engine.try_finish_batch(&subs[s], p, scope))
-                .map_err(ReplicaError::Dead)?;
-        }
-        Ok(merged)
+        let subs = logged_subs(shards, batch_id).map_err(|e| match e {
+            RecoveryError::MissingBatch(batch_id) => ReplicaError::WalGap { batch_id },
+            e => ReplicaError::Corrupt(e.to_string()),
+        })?;
+        let mut row: Vec<Executor<&mut LtpgEngine>> =
+            engines.iter_mut().map(Executor::gpu).collect();
+        run_round(&mut row, &subs, router.partitioner(), cfg, &mut 0.0)
+            .map(|round| round.merged)
+            .map_err(|(_, e)| ReplicaError::Dead(e))
     }
 }
 
@@ -1257,6 +1094,15 @@ mod tests {
         )
     }
 
+    /// The plain single-device server the sharded runs are checked against.
+    fn plain(db: &Database, batch: usize) -> LtpgServer {
+        LtpgServer::new(
+            db.deep_clone(),
+            LtpgConfig::default(),
+            ServerConfig { batch_size: batch, pipelined: false, ..ServerConfig::default() },
+        )
+    }
+
     /// Tick both servers in lockstep and assert per-batch decisions match.
     fn assert_lockstep_identical(server: &mut ShardedServer, reference: &mut LtpgServer) {
         loop {
@@ -1288,11 +1134,7 @@ mod tests {
     #[test]
     fn four_shards_decide_bit_identically_to_one_engine() {
         let (db, txns) = db_and_txns(240, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 48, pipelined: false, ..ServerConfig::default() },
-        );
+        let mut reference = plain(&db, 48);
         reference.submit_all(txns.clone());
         let mut server = sharded(&db, 4, 48);
         server.submit_all(txns);
@@ -1307,11 +1149,7 @@ mod tests {
     #[test]
     fn one_shard_degenerates_to_the_plain_server() {
         let (db, txns) = db_and_txns(100, 16);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 32, pipelined: false, ..ServerConfig::default() },
-        );
+        let mut reference = plain(&db, 32);
         reference.submit_all(txns.clone());
         let mut server = sharded(&db, 1, 32);
         server.submit_all(txns);
@@ -1361,11 +1199,7 @@ mod tests {
                 }
             })
             .collect();
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 10, pipelined: false, ..ServerConfig::default() },
-        );
+        let mut reference = plain(&db, 10);
         reference.submit_all(txns.clone());
         let mut server = sharded(&db, 4, 10);
         server.submit_all(txns);
@@ -1377,11 +1211,7 @@ mod tests {
     #[test]
     fn transient_shard_faults_retry_without_degrading() {
         let (db, txns) = db_and_txns(120, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 40, pipelined: false, ..ServerConfig::default() },
-        );
+        let mut reference = plain(&db, 40);
         reference.submit_all(txns.clone());
         let mut server = sharded(&db, 4, 40);
         // First upload of shard 2 fails transiently; the retry succeeds.
@@ -1407,11 +1237,7 @@ mod tests {
     #[test]
     fn losing_one_shard_degrades_it_and_keeps_history_identical() {
         let (db, txns) = db_and_txns(240, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 48, pipelined: false, ..ServerConfig::default() },
-        );
+        let mut reference = plain(&db, 48);
         reference.submit_all(txns.clone());
         let mut server = sharded(&db, 4, 48);
         server.submit_all(txns);
@@ -1437,98 +1263,95 @@ mod tests {
 
     #[test]
     fn failover_replaces_the_topology_and_keeps_history_identical() {
-        let (db, txns) = db_and_txns(240, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 48, pipelined: false, ..ServerConfig::default() },
-        );
-        reference.submit_all(txns.clone());
-        let mut server = sharded(&db, 4, 48);
-        server.attach_replicas(&ltpg_replica::ReplicaConfig::default());
-        server.submit_all(txns);
-        let s = server.tick().unwrap();
-        let r = reference.tick().unwrap();
-        assert_eq!(s.committed, r.committed);
-        // Kill shard 1's device: the Dead heartbeat fences it at the next
-        // batch boundary and the standby row takes over every shard.
-        server.force_shard_failure(1);
-        assert_lockstep_identical(&mut server, &mut reference);
-        assert_slices_match_reference(&server, &reference);
-        assert_eq!(server.stats().failovers, 1);
-        assert_eq!(server.stats().degraded_shards, 0, "failover must not degrade anything");
-        for s in 0..4 {
-            assert!(!server.is_degraded(s), "shard {s} must stay on a GPU engine");
-            assert_eq!(
-                server.shard_telemetry(s).counter_value(names::FAULT_FALLBACK_ACTIVATIONS),
-                0
-            );
+        for shards in [1u32, 4] {
+            let (db, txns) = db_and_txns(240, 32);
+            let mut reference = plain(&db, 48);
+            reference.submit_all(txns.clone());
+            let mut server = sharded(&db, shards, 48);
+            server.attach_replicas(&ltpg_replica::ReplicaConfig::default());
+            server.submit_all(txns);
+            let s = server.tick().unwrap();
+            let r = reference.tick().unwrap();
+            assert_eq!(s.committed, r.committed);
+            // Kill the last shard's device: the Dead heartbeat fences it at
+            // the next batch boundary and the standby row takes over every
+            // shard.
+            server.force_shard_failure(shards - 1);
+            assert_lockstep_identical(&mut server, &mut reference);
+            assert_slices_match_reference(&server, &reference);
+            assert_eq!(server.stats().batches, reference.stats().batches, "cutover keeps batching");
+            assert_eq!(server.stats().failovers, 1);
+            assert_eq!(server.stats().degraded_shards, 0, "failover must not degrade anything");
+            for s in 0..shards {
+                assert!(!server.is_degraded(s), "shard {s} must stay on a GPU engine");
+                assert_eq!(
+                    server.shard_telemetry(s).counter_value(names::FAULT_FALLBACK_ACTIVATIONS),
+                    0
+                );
+            }
+            let reg = server.telemetry();
+            assert_eq!(reg.counter_value(names::REPLICA_PROMOTIONS), 1);
+            assert_eq!(reg.gauge_value(names::REPLICA_STANDBYS), 0, "the only row was promoted");
+            assert!(reg.histogram(names::REPLICA_FAILOVER_NS).snapshot().count >= 1);
         }
-        let reg = server.telemetry();
-        assert_eq!(reg.counter_value(names::REPLICA_PROMOTIONS), 1);
-        assert_eq!(reg.gauge_value(names::REPLICA_STANDBYS), 0, "the only row was promoted");
-        assert!(reg.histogram(names::REPLICA_FAILOVER_NS).snapshot().count >= 1);
     }
 
     #[test]
     fn mid_batch_device_loss_fails_over_with_replayed_verdicts() {
-        let (db, txns) = db_and_txns(240, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 48, pipelined: false, ..ServerConfig::default() },
-        );
-        reference.submit_all(txns.clone());
-        let mut server = sharded(&db, 4, 48);
-        server.attach_replicas(&ltpg_replica::ReplicaConfig::default());
-        // Shard 2's device dies mid-prepare of a later batch: the probe at
-        // the boundary saw it healthy, so this exercises the in-flight
-        // promotion path (the batch was logged, the standby replays it and
-        // its merged words decide the batch).
-        server.arm_shard_faults(
-            2,
-            DeviceFaultPlan {
-                transient_ops: std::collections::BTreeSet::new(),
-                lost_at_op: Some(6),
-                recover_at_op: None,
-            },
-        );
-        server.submit_all(txns);
-        assert_lockstep_identical(&mut server, &mut reference);
-        assert_slices_match_reference(&server, &reference);
-        assert_eq!(server.stats().failovers, 1);
-        assert_eq!(server.stats().degraded_shards, 0);
-        assert_eq!(server.telemetry().counter_value(names::REPLICA_PROMOTIONS), 1);
+        for shards in [1u32, 4] {
+            let (db, txns) = db_and_txns(240, 32);
+            let mut reference = plain(&db, 48);
+            reference.submit_all(txns.clone());
+            let mut server = sharded(&db, shards, 48);
+            server.attach_replicas(&ltpg_replica::ReplicaConfig::default());
+            // A device dies mid-prepare of a later batch: the probe at the
+            // boundary saw it healthy, so this exercises the in-flight
+            // promotion path (the batch was logged, the standby replays it
+            // and its merged words decide the batch).
+            server.arm_shard_faults(
+                2 % shards,
+                DeviceFaultPlan {
+                    transient_ops: std::collections::BTreeSet::new(),
+                    lost_at_op: Some(6),
+                    recover_at_op: None,
+                },
+            );
+            server.submit_all(txns);
+            assert_lockstep_identical(&mut server, &mut reference);
+            assert_slices_match_reference(&server, &reference);
+            assert_eq!(server.stats().failovers, 1);
+            assert_eq!(server.stats().degraded_shards, 0);
+            assert_eq!(server.telemetry().counter_value(names::REPLICA_PROMOTIONS), 1);
+        }
     }
 
     #[test]
     fn heartbeat_false_positive_failover_is_safe() {
-        let (db, txns) = db_and_txns(240, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 48, pipelined: false, ..ServerConfig::default() },
-        );
-        reference.submit_all(txns.clone());
-        let mut server = sharded(&db, 4, 48);
-        server.attach_replicas(&ltpg_replica::ReplicaConfig {
-            standbys: 1,
-            heartbeat_miss_threshold: 3,
-        });
-        // Drop three consecutive probe rounds: every primary is healthy,
-        // but the monitors fence after the third miss and a (safe) false
-        // positive failover runs — determinism makes it invisible.
-        server.arm_replica_chaos(ReplicaChaos {
-            heartbeat_drop_ticks: [1u64, 2, 3].into_iter().collect(),
-            ..ReplicaChaos::none()
-        });
-        server.submit_all(txns);
-        assert_lockstep_identical(&mut server, &mut reference);
-        assert_slices_match_reference(&server, &reference);
-        assert_eq!(server.stats().failovers, 1);
-        let reg = server.telemetry();
-        assert!(reg.counter_value(names::REPLICA_HEARTBEAT_MISSES) >= 3);
-        assert_eq!(reg.counter_value(names::REPLICA_PROMOTIONS), 1);
+        for shards in [1u32, 4] {
+            let (db, txns) = db_and_txns(240, 32);
+            let mut reference = plain(&db, 48);
+            reference.submit_all(txns.clone());
+            let mut server = sharded(&db, shards, 48);
+            server.attach_replicas(&ltpg_replica::ReplicaConfig {
+                standbys: 1,
+                heartbeat_miss_threshold: 3,
+            });
+            // Drop three consecutive probe rounds: every primary is
+            // healthy, but the monitors fence after the third miss and a
+            // (safe) false positive failover runs — determinism makes it
+            // invisible.
+            server.arm_replica_chaos(ReplicaChaos {
+                heartbeat_drop_ticks: [1u64, 2, 3].into_iter().collect(),
+                ..ReplicaChaos::none()
+            });
+            server.submit_all(txns);
+            assert_lockstep_identical(&mut server, &mut reference);
+            assert_slices_match_reference(&server, &reference);
+            assert_eq!(server.stats().failovers, 1);
+            let reg = server.telemetry();
+            assert!(reg.counter_value(names::REPLICA_HEARTBEAT_MISSES) >= 3);
+            assert_eq!(reg.counter_value(names::REPLICA_PROMOTIONS), 1);
+        }
     }
 
     #[test]
@@ -1538,11 +1361,7 @@ mod tests {
         // revived device back as the serving engine — and clear the
         // degraded gauge — rather than leaving the shard benched forever.
         let (db, txns) = db_and_txns(240, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 24, pipelined: false, ..ServerConfig::default() },
-        );
+        let mut reference = plain(&db, 24);
         reference.submit_all(txns.clone());
         let mut server = sharded(&db, 4, 24);
         server.arm_replica_chaos(ReplicaChaos {
@@ -1585,48 +1404,83 @@ mod tests {
         // With a pool attached the failover heals the topology first; the
         // later timed recovery re-enlists the revived device as a fresh
         // standby row instead of touching the serving plane.
-        let (db, txns) = db_and_txns(240, 32);
-        let mut server = sharded(&db, 4, 24);
-        server.attach_replicas(&ltpg_replica::ReplicaConfig::default());
-        server.arm_replica_chaos(ReplicaChaos {
-            device_recovers_after_batches: Some(2),
-            ..ReplicaChaos::none()
-        });
-        server.submit_all(txns);
-        server.tick().unwrap();
-        server.force_shard_failure(3);
-        server.drain(100);
-        assert_eq!(server.stats().failovers, 1);
-        assert_eq!(server.stats().degraded_shards, 0);
-        assert_eq!(server.standbys_alive(), 1, "the revived device must refill the pool");
-        assert_eq!(server.telemetry().counter_value(names::REPLICA_REPROMOTIONS), 1);
-        assert_eq!(server.telemetry().gauge_value(names::REPLICA_STANDBYS), 1);
+        for shards in [1u32, 4] {
+            let (db, txns) = db_and_txns(240, 32);
+            let mut server = sharded(&db, shards, 24);
+            server.attach_replicas(&ltpg_replica::ReplicaConfig::default());
+            server.arm_replica_chaos(ReplicaChaos {
+                device_recovers_after_batches: Some(2),
+                ..ReplicaChaos::none()
+            });
+            server.submit_all(txns);
+            server.tick().unwrap();
+            server.force_shard_failure(3 % shards);
+            server.drain(100);
+            assert_eq!(server.stats().failovers, 1);
+            assert_eq!(server.stats().degraded_shards, 0);
+            assert_eq!(server.standbys_alive(), 1, "the revived device must refill the pool");
+            let reg = server.telemetry();
+            assert_eq!(reg.counter_value(names::REPLICA_PROMOTIONS), 1);
+            assert_eq!(reg.counter_value(names::REPLICA_REPROMOTIONS), 1);
+            assert_eq!(reg.gauge_value(names::REPLICA_STANDBYS), 1);
+        }
     }
 
     #[test]
     fn exhausted_pool_still_degrades_to_the_cpu_twin() {
-        let (db, txns) = db_and_txns(240, 32);
-        let mut reference = LtpgServer::new(
-            db.deep_clone(),
-            LtpgConfig::default(),
-            ServerConfig { batch_size: 24, pipelined: false, ..ServerConfig::default() },
-        );
+        for shards in [1u32, 4] {
+            let (db, txns) = db_and_txns(240, 32);
+            let mut reference = plain(&db, 24);
+            reference.submit_all(txns.clone());
+            let mut server = sharded(&db, shards, 24);
+            server.attach_replicas(&ltpg_replica::ReplicaConfig::default());
+            server.submit_all(txns);
+            server.tick().unwrap();
+            reference.tick().unwrap();
+            server.force_shard_failure(0); // consumes the only standby row
+            server.tick().unwrap();
+            reference.tick().unwrap();
+            let lost = 2 % shards;
+            server.force_shard_failure(lost); // pool empty: degrade the shard
+            assert_lockstep_identical(&mut server, &mut reference);
+            assert_slices_match_reference(&server, &reference);
+            assert_eq!(server.stats().failovers, 1);
+            assert!(server.is_degraded(lost));
+            assert_eq!(server.stats().degraded_shards, 1);
+            let reg = server.telemetry();
+            assert_eq!(reg.gauge_value(names::SHARD_DEGRADED), 1);
+            assert_eq!(reg.counter_value(names::REPLICA_PROMOTIONS), 1);
+            assert_eq!(
+                server.shard_telemetry(lost).counter_value(names::FAULT_FALLBACK_ACTIVATIONS),
+                1
+            );
+        }
+    }
+
+    #[test]
+    fn degraded_batch_is_charged_like_the_plain_server() {
+        // The in-flight batch that a degradation re-executes on the CPU
+        // twin costs the replayed round's prepare + finish, exactly what
+        // the plain server charges for the same batch on its twin, so a
+        // one-shard server and the plain server agree tick by tick.
+        let (db, txns) = db_and_txns(96, 32);
+        let mut reference = plain(&db, 32);
         reference.submit_all(txns.clone());
-        let mut server = sharded(&db, 4, 24);
-        server.attach_replicas(&ltpg_replica::ReplicaConfig::default());
+        let mut server = sharded(&db, 1, 32);
         server.submit_all(txns);
         server.tick().unwrap();
         reference.tick().unwrap();
-        server.force_shard_failure(0); // consumes the only standby row
-        server.tick().unwrap();
-        reference.tick().unwrap();
-        server.force_shard_failure(2); // pool empty: degrade shard 2
-        assert_lockstep_identical(&mut server, &mut reference);
-        assert_slices_match_reference(&server, &reference);
-        assert_eq!(server.stats().failovers, 1);
-        assert!(server.is_degraded(2));
-        assert_eq!(server.stats().degraded_shards, 1);
-        assert_eq!(server.telemetry().gauge_value(names::SHARD_DEGRADED), 1);
+        server.force_shard_failure(0);
+        reference.force_device_failure();
+        loop {
+            match (server.tick(), reference.tick()) {
+                (None, None) => break,
+                (Some(a), Some(b)) => assert_eq!(a.sim_ns, b.sim_ns, "per-tick charge"),
+                (a, b) => panic!("servers went idle at different ticks: {a:?} vs {b:?}"),
+            }
+        }
+        assert!(server.is_degraded(0) && reference.is_degraded());
+        assert_eq!(server.stats().sim_ns, reference.stats().sim_ns);
     }
 
     #[test]

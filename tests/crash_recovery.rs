@@ -257,116 +257,115 @@ fn forced_device_loss_drains_remaining_workload_on_cpu_identically() {
     );
 }
 
-/// Satellite of the replication work (ISSUE 6): crashes *inside the
-/// promotion window*. Seeds whose [`FaultPlan`] drew a
-/// [`PromotionCrashpoint`] run with a warm standby attached; the device
-/// loss triggers failover and the injected crash kills the "process"
-/// either before the standby replays anything or after the catch-up
-/// replay but before the cutover completes. Both must surface as
-/// [`ServerError::InjectedCrash`] (never a panic), and recovery from
-/// checkpoint + WAL must converge to the exact digest of an un-crashed
-/// reference run — the promotion window adds no new durability states.
+/// Crashes *inside the promotion window*, at 1 and 4 shards. Seeds whose
+/// [`FaultPlan`] drew a [`PromotionCrashpoint`] run a [`ShardedServer`]
+/// with a warm standby row attached; a shard's device is lost at a batch
+/// boundary, the heartbeat fences it, and the injected crash kills the
+/// "process" either before the standby replays anything or after the
+/// catch-up replay but before the cutover completes. Both must surface as
+/// [`ServerError::InjectedCrash`] (never a panic), and recovery from every
+/// shard's checkpoint + WAL must converge to the exact per-slice digests
+/// of an un-crashed run — the promotion window adds no new durability
+/// states.
 #[test]
 fn promotion_crashpoint_sweep_recovers_to_the_uncrashed_digest() {
     use ltpg::{PromotionCrashpoint, ReplicaChaos, ServerError};
-    use ltpg_replica::{ReplicaConfig, ReplicaSet};
-    use std::sync::Arc;
+    use ltpg_replica::ReplicaConfig;
+    use ltpg_shard::{Partitioner, ShardedServer, TableRule};
 
-    let mut saw_before = false;
-    let mut saw_after = false;
-    for seed in 0..SWEEP_SEEDS {
-        let plan = FaultPlan::from_seed(seed, FaultHorizon::for_batches(14));
-        let Some(crash) = plan.replica.promotion_crash else { continue };
+    for shards in [1u32, 4] {
+        let (mut saw_before, mut saw_after) = (false, false);
+        for seed in 0..SWEEP_SEEDS {
+            let plan = FaultPlan::from_seed(seed, FaultHorizon::for_batches(14));
+            let Some(crash) = plan.replica.promotion_crash else { continue };
 
-        let (db, plain, hot) = build_db();
-        let cfg = engine_cfg(hot);
-        let txns = mixed_txns(plain, hot, seed, SWEEP_TXNS);
-        let scfg = ServerConfig {
-            batch_size: SWEEP_BATCH,
-            pipelined: true,
-            checkpoint_every: Some(4),
-            ..ServerConfig::default()
-        };
+            let (db, plain, hot) = build_db();
+            let cfg = engine_cfg(hot);
+            let txns = mixed_txns(plain, hot, seed, SWEEP_TXNS);
+            let part = Partitioner::new(shards, TableRule::Hash);
+            let scfg = ServerConfig {
+                batch_size: SWEEP_BATCH,
+                pipelined: true,
+                checkpoint_every: Some(4),
+                ..ServerConfig::default()
+            };
+            let slice_digests =
+                |srv: &ShardedServer| (0..shards).map(|s| srv.database(s).state_digest()).collect();
 
-        // Un-crashed reference: the digest after every executed batch.
-        let mut reference = LtpgServer::new(db.deep_clone(), cfg.clone(), scfg.clone());
-        reference.submit_all(txns.clone());
-        let mut digests: Vec<u64> = Vec::new();
-        for _ in 0..400 {
-            let before = reference.stats().batches;
-            match reference.tick() {
-                None => break,
-                Some(_) => {
-                    if reference.stats().batches > before {
-                        digests.push(reference.database().state_digest());
+            // Un-crashed reference: every slice's digest after every
+            // executed batch.
+            let mut reference =
+                ShardedServer::new(db.deep_clone(), part.clone(), cfg.clone(), scfg.clone());
+            reference.submit_all(txns.clone());
+            let mut digests: Vec<Vec<u64>> = Vec::new();
+            for _ in 0..400 {
+                let before = reference.stats().batches;
+                if reference.tick().is_none() {
+                    break;
+                }
+                if reference.stats().batches > before {
+                    digests.push(slice_digests(&reference));
+                }
+            }
+
+            // Crashing run: a standby row attached, the last shard's device
+            // lost at a batch boundary, and the promotion window armed to
+            // die.
+            let mut server = ShardedServer::new(db, part, cfg, scfg);
+            server.attach_replicas(&ReplicaConfig::default());
+            server.arm_replica_chaos(ReplicaChaos {
+                promotion_crash: Some(crash),
+                ..ReplicaChaos::none()
+            });
+            server.submit_all(txns);
+            server.tick().unwrap();
+            server.tick().unwrap();
+            server.force_shard_failure(shards - 1);
+            let mut crash_err = None;
+            for _ in 0..400 {
+                match server.try_tick() {
+                    Ok(Some(_)) => continue,
+                    Ok(None) => break,
+                    Err(e) => {
+                        crash_err = Some(e);
+                        break;
                     }
                 }
             }
-        }
-
-        // Crashing run: a standby attached, the device lost at a batch
-        // boundary, and the promotion window armed to die.
-        let mut server = LtpgServer::new(db, cfg.clone(), scfg);
-        let set = ReplicaSet::new(
-            vec![server.durability().checkpoint_image()],
-            server.durability().checkpoint_batch(),
-            cfg.clone(),
-            &ReplicaConfig::default(),
-            Arc::clone(server.telemetry()),
-        );
-        server.attach_failover(Box::new(set));
-        server.arm_replica_chaos(ReplicaChaos {
-            promotion_crash: Some(crash),
-            ..ReplicaChaos::none()
-        });
-        server.submit_all(txns);
-        server.tick().unwrap();
-        server.tick().unwrap();
-        server.force_device_failure();
-        let mut crash_err = None;
-        for _ in 0..400 {
-            match server.try_tick() {
-                Ok(Some(_)) => continue,
-                Ok(None) => break,
-                Err(e) => {
-                    crash_err = Some(e);
-                    break;
+            let site = match crash_err {
+                Some(ServerError::InjectedCrash(site)) => site,
+                other => panic!("{shards} shards, seed {seed}: expected a crash, got {other:?}"),
+            };
+            match crash {
+                PromotionCrashpoint::BeforeCatchup => {
+                    assert_eq!(site, "promotion:before-catchup", "{shards} shards, seed {seed}");
+                    saw_before = true;
+                }
+                PromotionCrashpoint::AfterCatchup => {
+                    assert_eq!(site, "promotion:after-catchup", "{shards} shards, seed {seed}");
+                    saw_after = true;
                 }
             }
-        }
-        let site = match crash_err {
-            Some(ServerError::InjectedCrash(site)) => site,
-            other => panic!("seed {seed}: expected the promotion crashpoint, got {other:?}"),
-        };
-        match crash {
-            PromotionCrashpoint::BeforeCatchup => {
-                assert_eq!(site, "promotion:before-catchup", "seed {seed}");
-                saw_before = true;
-            }
-            PromotionCrashpoint::AfterCatchup => {
-                assert_eq!(site, "promotion:after-catchup", "seed {seed}");
-                saw_after = true;
-            }
-        }
 
-        // The "process" died mid-cutover. Recovery replays checkpoint +
-        // WAL (which includes the in-flight batch, logged before
-        // execution) and must land exactly on the un-crashed history.
-        let out = server
-            .durability()
-            .recover_with(cfg, &RecoveryOptions { tail_policy: TailPolicy::Truncate })
-            .expect("seed {seed}: the log is undamaged");
-        let total = server.durability().checkpoint_batch() + out.stats.frames_replayed;
-        assert!(total > 0, "seed {seed}: the crashed run must have logged batches");
-        assert_eq!(
-            out.db.state_digest(),
-            digests[total as usize - 1],
-            "seed {seed}: recovery after a `{site}` crash must converge to the \
-             un-crashed digest at batch {total}"
-        );
+            // The "process" died mid-cutover. Recovery replays every
+            // shard's checkpoint + WAL and must land exactly on the
+            // un-crashed history.
+            let slices = server
+                .simulate_recovery()
+                .unwrap_or_else(|e| panic!("{shards} shards, seed {seed}: {e}"));
+            let total = server.stats().batches as usize;
+            assert!(total > 0, "{shards} shards, seed {seed}: the crashed run logged nothing");
+            let recovered: Vec<u64> = slices.iter().map(Database::state_digest).collect();
+            assert_eq!(
+                recovered,
+                digests[total - 1],
+                "{shards} shards, seed {seed}: recovery after a `{site}` crash must converge \
+                 to the un-crashed slice digests at batch {total}"
+            );
+        }
+        assert!(saw_before, "{shards} shards: no sweep seed crashed before catch-up");
+        assert!(saw_after, "{shards} shards: no sweep seed crashed after catch-up");
     }
-    assert!(saw_before, "no sweep seed crashed before catch-up");
-    assert!(saw_after, "no sweep seed crashed after catch-up");
 }
 
 /// Build a logged history of `rounds` batches and return the manager plus

@@ -143,8 +143,9 @@ fn seeded_replica_chaos_is_invisible_to_the_history() {
         if chaos.is_quiet() {
             continue;
         }
-        // Promotion crashpoints model process death and are covered by
-        // the crash-recovery sweep; here we keep the server alive.
+        // Promotion crashpoints model process death; the sharded
+        // promotion-crashpoint sweep in tests/crash_recovery.rs covers
+        // them at 1 and 4 shards. Here we keep the server alive.
         let chaos = ReplicaChaos { promotion_crash: None, ..chaos };
         let (mut sharded, _, mut single) = topologies(2);
         sharded.attach_replicas(&ReplicaConfig { standbys: 2, heartbeat_miss_threshold: 2 });
